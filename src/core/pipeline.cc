@@ -110,48 +110,18 @@ StatusOr<Prediction> PredictionPipeline::Predict(const Plan& plan) const {
   SampleRunInput in;
   in.plan = &plan;
   UQP_ASSIGN_OR_RETURN(SampleRunOutput sample_run, sample_run_.Run(in));
-  return PredictFromSampleRun(
-      plan, std::make_shared<const SampleRunOutput>(std::move(sample_run)));
-}
-
-StatusOr<Prediction> PredictionPipeline::PredictFromSampleRun(
-    const Plan& plan, SampleRunPtr sample_run) const {
+  StageArtifacts artifacts;
+  artifacts.run = std::make_shared<const SampleRunOutput>(std::move(sample_run));
   CostFitInput fit_in;
   fit_in.plan = &plan;
-  fit_in.sample_run = sample_run.get();
+  fit_in.sample_run = artifacts.run.get();
   UQP_ASSIGN_OR_RETURN(CostFitOutput cost_fit, cost_fit_.Run(fit_in));
-  return PredictFromArtifacts(
-      std::move(sample_run),
-      std::make_shared<const CostFitOutput>(std::move(cost_fit)));
-}
-
-Prediction PredictionPipeline::PredictFromArtifacts(SampleRunPtr sample_run,
-                                                    CostFitPtr cost_fit) const {
+  artifacts.fit = std::make_shared<const CostFitOutput>(std::move(cost_fit));
   // Resolve the current calibration snapshot exactly once: the whole
   // combination — and the epoch the prediction records — comes from this
   // one immutable object, so a concurrent SetCalibration can never mix
   // units from two epochs into one prediction.
-  const CalibrationPtr snapshot = calibration();
-  VarianceCombineInput var_in;
-  var_in.sample_run = sample_run.get();
-  var_in.cost_fit = cost_fit.get();
-  var_in.units = &snapshot->units;
-  var_in.variant = options_.variant;
-  var_in.bound = options_.bound;
-  const VarianceCombineOutput combined = variance_combine_.Run(var_in);
-  combine_count_.fetch_add(1, std::memory_order_relaxed);
-
-  Prediction out;
-  out.breakdown = combined.breakdown;
-  out.sample_run = std::move(sample_run);
-  out.cost_fit = std::move(cost_fit);
-  out.calibration = snapshot;
-  return out;
-}
-
-Prediction PredictionPipeline::PredictFromArtifacts(
-    const StageArtifacts& artifacts) const {
-  return PredictFromArtifacts(artifacts.run, artifacts.fit);
+  return PredictFromArtifacts(artifacts, calibration());
 }
 
 Prediction PredictionPipeline::PredictFromArtifacts(

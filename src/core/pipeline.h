@@ -279,7 +279,7 @@ class PredictionPipeline {
     return variance_combine_;
   }
 
-  /// The number of times the stage-3 combination ran (any overload).
+  /// The number of times the stage-3 combination ran (Predict included).
   /// Monotone, relaxed; a test/bench seam for asserting that memoized
   /// epoch-stamped combines actually skip the combination work.
   uint64_t combine_count() const {
@@ -289,26 +289,12 @@ class PredictionPipeline {
   /// All three stages in sequence.
   StatusOr<Prediction> Predict(const Plan& plan) const;
 
-  /// Stages 2-3 only, from a pre-computed (possibly cached) stage 1
-  /// output. Bit-identical to Predict when `sample_run` came from the same
-  /// plan: every stage is deterministic. The prediction shares ownership
-  /// of `sample_run` (no copy).
-  StatusOr<Prediction> PredictFromSampleRun(const Plan& plan,
-                                            SampleRunPtr sample_run) const;
-
   /// Stage 3 only, from pre-computed stage 1-2 outputs (the fully cached
-  /// path: a recurring plan re-runs just the variance combination). The
-  /// prediction aliases both artifacts — zero-copy, O(variance breakdown).
-  /// Resolves the current calibration snapshot once.
-  Prediction PredictFromArtifacts(SampleRunPtr sample_run,
-                                  CostFitPtr cost_fit) const;
-  /// Bundle overload: the form the service's cache, in-flight dedup and
-  /// continuation handoff trade in.
-  Prediction PredictFromArtifacts(const StageArtifacts& artifacts) const;
-  /// Pinned-snapshot overload: combines under exactly `snapshot` instead
-  /// of re-resolving the current one — the service's epoch-memoization
-  /// path uses it so the epoch it stamps is the epoch it combined under,
-  /// even while a publish races.
+  /// path: a recurring plan re-runs just the variance combination), under
+  /// exactly `snapshot` — pass calibration() for the current epoch. The
+  /// service's epoch memo pins the snapshot so the epoch it stamps is the
+  /// epoch it combined under, even while a publish races. The prediction
+  /// aliases both artifacts — zero-copy, O(variance breakdown).
   Prediction PredictFromArtifacts(const StageArtifacts& artifacts,
                                   const CalibrationPtr& snapshot) const;
 

@@ -55,18 +55,34 @@ MorselPool::MorselPool(int num_threads) {
   }
 }
 
-MorselPool::~MorselPool() {
+MorselPool::~MorselPool() { Shutdown(); }
+
+void MorselPool::Shutdown() {
   {
     MutexLock lock(&mu_);
+    if (stop_) return;
     stop_ = true;
   }
   cv_.NotifyAll();
+  // The joined threads stay in threads_: the vector is never mutated after
+  // construction, so concurrent readers (num_threads) race with nothing.
   for (std::thread& t : threads_) t.join();
+}
+
+bool MorselPool::Submit(std::function<void()> task) {
+  {
+    MutexLock lock(&mu_);
+    if (stop_) return false;
+    tasks_.push_back(std::move(task));
+  }
+  cv_.NotifyOne();
+  return true;
 }
 
 void MorselPool::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Batch> batch;
+    std::function<void()> task;
     {
       MutexLock lock(&mu_);
       // Explicit predicate loop (not the wait-with-lambda overload): the
@@ -77,13 +93,23 @@ void MorselPool::WorkerLoop() {
         while (!active_.empty() && active_.front()->exhausted()) {
           active_.pop_front();
         }
-        if (stop_ || !active_.empty()) break;
+        if (stop_ || !tasks_.empty() || !active_.empty()) break;
         cv_.Wait(mu_);
       }
-      if (active_.empty()) return;  // stop_ set and nothing left to help
-      batch = active_.front();
+      if (!tasks_.empty()) {
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      } else if (!active_.empty()) {
+        batch = active_.front();
+      } else {
+        return;  // stop_ set and nothing left to run or help
+      }
     }
-    batch->Pull();
+    if (task) {
+      task();
+    } else {
+      batch->Pull();
+    }
   }
 }
 

@@ -36,8 +36,13 @@ class TaskRunner {
 /// while merge order stays the deterministic task-index order chosen by
 /// the caller). The executor spins one up per Execute call when
 /// ExecOptions asks for parallelism without supplying a pool; long-lived
-/// callers (the sampling estimator, benches) can share one instance
-/// across runs.
+/// callers (the sampling estimator, benches, the prediction service) can
+/// share one instance across runs.
+///
+/// Besides RunTasks fan-outs, the helpers serve a FIFO lane of independent
+/// tasks (Submit) — the prediction service's plan-level requests. A
+/// helper takes the oldest queued task before helping a fan-out, whose
+/// caller works through its own indexes anyway.
 class MorselPool : public TaskRunner {
  public:
   explicit MorselPool(int num_threads);
@@ -49,6 +54,19 @@ class MorselPool : public TaskRunner {
   int num_threads() const { return static_cast<int>(threads_.size()) + 1; }
 
   void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) override;
+
+  /// Queues `task` for the next free helper, in submission order. Returns
+  /// false (dropping the task) once Shutdown has begun.
+  bool Submit(std::function<void()> task);
+
+  /// Refuses further Submits, lets the helpers drain every task already
+  /// queued, and joins them. RunTasks keeps working afterwards (the caller
+  /// runs every index). Idempotent; the destructor calls it.
+  void Shutdown();
+
+  /// Wakes every helper with nothing new to do; each must fall back asleep
+  /// through its predicate loop (a fault-injection seam).
+  void WakeAll() { cv_.NotifyAll(); }
 
  private:
   struct Batch;
@@ -62,6 +80,8 @@ class MorselPool : public TaskRunner {
   /// Batches still attracting helpers. Workers prune exhausted fronts
   /// under the lock; RunTasks appends under the lock.
   std::deque<std::shared_ptr<Batch>> active_ UQP_GUARDED_BY(mu_);
+  /// Submitted tasks; helpers pop the front, Submit pushes the back.
+  std::deque<std::function<void()>> tasks_ UQP_GUARDED_BY(mu_);
   bool stop_ UQP_GUARDED_BY(mu_) = false;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "engine/cost_model.h"
@@ -13,52 +14,31 @@ namespace uqp {
 
 namespace {
 
-/// Shared state of one ParallelFor: workers and the calling thread pull
-/// indexes from `next` until exhausted; the last finisher wakes the caller.
-struct ParallelState {
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  size_t total = 0;
-  const std::function<void(size_t)>* fn = nullptr;
-  /// Guards nothing directly (the counters are atomics): taken only so the
-  /// completion notify and the caller's wait agree on one lock and the
-  /// final wakeup cannot be lost.
-  Mutex mu;
-  CondVar cv;
-
-  void Pull() {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= total) return;
-      (*fn)(i);
-      if (done.fetch_add(1) + 1 == total) {
-        MutexLock lock(&mu);
-        cv.NotifyAll();
-      }
-    }
-  }
-};
-
 size_t RoundUpPow2(size_t v) {
   size_t p = 1;
   while (p < v) p <<= 1;
   return p;
 }
 
+/// ServiceOptions::num_workers resolved: 0 sizes to the hardware
+/// concurrency, capped at 4.
+int ResolveWorkers(int requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(std::min(4u, std::max(1u, hw)));
+}
+
 }  // namespace
 
 PredictionService::PredictionService(const Database* db, const SampleDb* samples,
                                      CostUnits units, ServiceOptions options)
-    : pipeline_(db, samples, units, options.predictor, &pool_runner_),
+    // The workers plus the slot MorselPool counts for its calling thread.
+    : runner_(ResolveWorkers(options.num_workers) + 1),
+      pipeline_(db, samples, units, options.predictor, &runner_),
       options_(std::move(options)),
       db_(db) {
   if (options_.breaker.failure_threshold > 0) {
     breaker_.reset(new CircuitBreakerRegistry(options_.breaker));
-  }
-  int n = options_.num_workers;
-  if (n <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = static_cast<int>(std::min(4u, std::max(1u, hw)));
   }
 
   int s = options_.cache_shards;
@@ -96,89 +76,17 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   stripes_ = stripes_storage_.get();
   // The plan registry shards by the same fingerprint mask as the cache, so
   // a cold async storm across distinct plans never serializes on one
-  // registry lock (ROADMAP direction-2 follow-up).
+  // registry lock.
   registry_shards_.reset(new RegistryShard[shard_count]);
 
   if (options_.feedback.enabled && options_.feedback.window_size > 0) {
     feedback_.reset(new FeedbackRegistry(options_.feedback, shard_count));
   }
-
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(&PredictionService::WorkerLoop, this);
-  }
 }
 
+// Queued requests touch the shards and stripes: drain the pool before any
+// member is destroyed.
 PredictionService::~PredictionService() { Shutdown(); }
-
-void PredictionService::Shutdown() {
-  {
-    MutexLock lock(&pool_mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
-  pool_cv_.NotifyAll();
-  // Workers drain the queue before exiting, so every future handed out by
-  // PredictAsync before the shutdown flag was set is satisfied. Requests
-  // that lose the race (PredictAsync observing shutdown_ == true) are
-  // rejected with Status::Unavailable — or, with drain_on_shutdown, run
-  // inline on their calling thread — instead of being enqueued into a
-  // pool nobody drains. The joined threads stay in workers_ — the vector
-  // is never mutated after construction, so concurrent readers
-  // (ParallelFor, num_workers) race with nothing.
-  for (std::thread& t : workers_) t.join();
-}
-
-void PredictionService::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(&pool_mu_);
-      // Explicit predicate loop (not the wait-with-lambda overload): the
-      // guarded reads of shutdown_/pool_queue_ stay in this function,
-      // where the thread-safety analysis can prove pool_mu_ is held.
-      while (!shutdown_ && pool_queue_.empty()) pool_cv_.Wait(pool_mu_);
-      if (pool_queue_.empty()) return;  // shutdown_ set and queue drained
-      // FIFO: the oldest request is served next. (A LIFO pop would starve
-      // the oldest PredictAsync under sustained load.)
-      task = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void PredictionService::ParallelFor(size_t n,
-                                    const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<ParallelState>();
-  state->total = n;
-  state->fn = &fn;  // outlives the call: we wait for completion below
-  const size_t helpers = std::min(workers_.size(), n - 1);
-  bool enqueued = false;
-  {
-    MutexLock lock(&pool_mu_);
-    // After Shutdown nobody pops the queue: don't park helper closures
-    // there forever — the calling thread just runs every index itself.
-    if (!shutdown_) {
-      for (size_t i = 0; i < helpers; ++i) {
-        pool_queue_.push_back([state] { state->Pull(); });
-      }
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    pool_cv_.NotifyAll();
-    MaybeSpuriousWakeup();
-  }
-  state->Pull();  // the calling thread shards too
-  MutexLock lock(&state->mu);
-  while (state->done.load() != n) state->cv.Wait(state->mu);
-}
 
 uint64_t PredictionService::Fingerprint(const Plan& plan,
                                         const PlanIdentity& identity) const {
@@ -261,8 +169,8 @@ PredictionService::RequestContext PredictionService::MakeContext(
   return ctx;
 }
 
-Prediction PredictionService::MakeDegradedFromCost(uint64_t fingerprint,
-                                                   double scalar_cost) {
+Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
+                                           double scalar_cost) {
   const DegradedOptions& dg = options_.degraded;
   const double mean = std::max(0.0, scalar_cost) * dg.cost_scale_ms;
   // The degraded interval is widest where we already know we mispredict:
@@ -285,24 +193,19 @@ Prediction PredictionService::MakeDegradedFromCost(uint64_t fingerprint,
   return out;
 }
 
-Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
-                                           const Plan& plan) {
-  return MakeDegradedFromCost(fingerprint, OptimizerScalarCost(plan, *db_));
-}
-
 void PredictionService::MaybeSpuriousWakeup() {
   if (options_.fault_injector == nullptr) return;
   if (!options_.fault_injector->InjectSpuriousWakeup()) return;
   // Nothing new to run: every worker that wakes must fall back asleep
-  // through its predicate loop. Fires outside pool_mu_ deliberately — a
-  // naked notify is exactly the hostile shape the loops must absorb.
-  pool_cv_.NotifyAll();
+  // through its predicate loop. Fires outside the pool mutex deliberately —
+  // a naked notify is exactly the hostile shape the loops must absorb.
+  runner_.WakeAll();
   stripes_[0].spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
                                        const PlanIdentity& identity,
-                                       EntryPtr* out) {
+                                       Prediction* out) {
   if (!options_.lock_free_hits || options_.cache_capacity == 0) return false;
   Shard& shard = ShardFor(fingerprint);
   const size_t base = SlotBase(fingerprint);
@@ -327,7 +230,8 @@ bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
     entry->last_used.store(
         shard.ticket.fetch_add(1, std::memory_order_relaxed),
         std::memory_order_relaxed);
-    *out = std::move(entry);
+    *out = CombineCached(entry);
+    RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk, /*lock_free=*/true);
     return true;
   }
   return false;
@@ -444,8 +348,8 @@ void PredictionService::InvalidateCache() {
       std::atomic_store_explicit(&slot, EntryPtr(), std::memory_order_release);
     }
     // Detach in-flight runs: their waiters still get a (pre-flush) result —
-    // parked continuations live on the Inflight object, not in this map, so
-    // the completing thread still drains them — but new requests must not
+    // parked requests live on the Inflight object, not in this map, so the
+    // completing thread still resolves them — but new requests must not
     // join the detached run, and the generation bump above keeps its late
     // CachePut out of the flushed cache.
     shard.inflight.clear();
@@ -516,32 +420,32 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
 }
 
 StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
-    const Plan& plan, uint64_t fingerprint, const IdentityPtr& identity,
-    const Lookup& lk, const RequestContext& ctx) {
+    const Request& req, const Lookup& lk) {
+  const uint64_t fingerprint = req.fingerprint;
   if (breaker_ != nullptr) {
     const BreakerDecision admit = breaker_->Admit(fingerprint);
     if (admit.shed) {
       // Quarantined: stage 1 is not consulted at all (the fault injector
       // included — a shed is invisible to the schedule's attempt count).
       // The in-flight entry this request registered still completes, so
-      // every joiner/waiter resolves with the same quarantine status
-      // instead of deadlocking on an abandoned promise.
+      // every parked joiner resolves with the same quarantine status
+      // instead of waiting forever.
       const StatusOr<Artifacts> result(
           Status::Unavailable("plan family quarantined by circuit breaker"));
-      CompleteRun(lk.owned, fingerprint, identity, lk.generation, result);
+      CompleteRun(lk.owned, fingerprint, req.identity, lk.generation, result);
       return result;
     }
     // admit.probe runs the stages normally; its verdict below closes or
     // re-opens the family.
   }
-  StatusOr<Artifacts> result = RunStages(plan, fingerprint, ctx);
+  StatusOr<Artifacts> result = RunStages(*req.plan, fingerprint, req.ctx);
   if (options_.post_stages_hook) options_.post_stages_hook();
   if (breaker_ != nullptr) {
     // Injected faults and deadline cancellations count as failures: a run
     // that could not complete is a failure from the family's viewpoint.
     breaker_->OnStageResult(fingerprint, result.ok());
   }
-  CompleteRun(lk.owned, fingerprint, identity, lk.generation, result);
+  CompleteRun(lk.owned, fingerprint, req.identity, lk.generation, result);
   return result;
 }
 
@@ -594,56 +498,12 @@ PredictionService::EntryPtr PredictionService::FindEntry(
   return it->second;
 }
 
-void PredictionService::FulfillAsync(AsyncRequest& req,
-                                     const StatusOr<Artifacts>& artifacts,
-                                     bool hit) {
-  // Build the result while the owned plan is still alive (the degraded
-  // fallback may need it), then release the registry reference before the
-  // promise fires: a caller that saw the future complete also sees the
-  // registry drained. Requests that never interned (submit-time fast
-  // paths) hold no reference to release — and must not decrement one
-  // taken by a different request for the same key; their degraded cost
-  // was precomputed at submit time instead.
-  StatusOr<Prediction> result(Status::OK());
-  Outcome outcome = Outcome::kOk;
-  if (artifacts.ok()) {
-    result = pipeline_.PredictFromArtifacts(artifacts.value());
-  } else if (req.ctx.allow_degraded) {
-    outcome = Outcome::kDegraded;
-    result = req.plan != nullptr
-                 ? MakeDegraded(req.fingerprint, *req.plan)
-                 : MakeDegradedFromCost(req.fingerprint,
-                                        std::max(0.0, req.degraded_cost));
-  } else {
-    outcome = OutcomeFor(artifacts.status());
-    result = artifacts.status();
-  }
-  if (req.plan != nullptr) {
-    ReleasePlan(req.identity->key, req.fingerprint);
-    req.plan.reset();
-  }
-  RecordOutcome(req.fingerprint, hit, outcome);
-  req.promise.set_value(std::move(result));
-}
-
-void PredictionService::FulfillAsyncFromEntry(AsyncRequest& req,
-                                              const EntryPtr& entry,
-                                              bool lock_free) {
-  if (req.plan != nullptr) {
-    ReleasePlan(req.identity->key, req.fingerprint);
-    req.plan.reset();
-  }
-  Prediction out = CombineCached(entry);
-  RecordOutcome(req.fingerprint, /*hit=*/true, Outcome::kOk, lock_free);
-  req.promise.set_value(std::move(out));
-}
-
 void PredictionService::CompleteRun(const std::shared_ptr<Inflight>& owned,
                                     uint64_t fingerprint,
                                     const IdentityPtr& identity,
                                     uint64_t generation,
                                     const StatusOr<Artifacts>& result) {
-  std::vector<std::shared_ptr<AsyncRequest>> waiters;
+  std::vector<RequestPtr> waiters;
   Shard& shard = ShardFor(fingerprint);
   {
     MutexLock lock(&shard.mu);
@@ -652,10 +512,10 @@ void PredictionService::CompleteRun(const std::shared_ptr<Inflight>& owned,
       if (it != shard.inflight.end() && it->second == owned) {
         shard.inflight.erase(it);
       }
-      // Detach the continuation list under the same lock that guards
-      // registration: once the entry is unreachable no new waiter can be
-      // parked, so none is ever lost. (If InvalidateCache already detached
-      // the entry, the waiters parked before the flush are still here.)
+      // Detach the waiter list under the same lock that guards parking:
+      // once the entry is unreachable no new joiner can park, so none is
+      // ever lost. (If InvalidateCache already detached the entry, the
+      // waiters parked before the flush are still here.)
       waiters = std::move(owned->waiters);
     }
     if (options_.cache_capacity > 0 && result.ok()) {
@@ -670,22 +530,18 @@ void PredictionService::CompleteRun(const std::shared_ptr<Inflight>& owned,
       }
     }
   }
-  // Wake the blocking sync joiners, then finish every parked async loser
-  // with the cheap stage-3 combination (continuation handoff): the losers
-  // returned their workers long ago, so a same-fingerprint storm never
-  // starves the pool. On a failed run every joiner receives this same
-  // status (or its own degraded fallback) — the winner's error is the
-  // group's error, never a placeholder.
-  if (owned != nullptr) owned->promise.set_value(result);
-  for (const auto& w : waiters) {
-    FulfillAsync(*w, result, /*hit=*/true);
-  }
+  // Resolve every parked joiner with the cheap stage-3 combination
+  // (continuation handoff): async joiners returned their workers long ago,
+  // so a same-fingerprint storm never starves the pool. On a failed run
+  // every joiner receives this same status (or its own degraded fallback)
+  // — the winner's error is the group's error, never a placeholder.
+  for (const RequestPtr& w : waiters) Resolve(*w, Combine(result), /*hit=*/true);
 }
 
 PredictionService::Lookup PredictionService::LookupArtifacts(
-    uint64_t fingerprint, const IdentityPtr& identity,
-    const std::shared_ptr<AsyncRequest>& park, bool register_owned) {
+    const RequestPtr& req, bool register_owned) {
   Lookup lk;
+  const uint64_t fingerprint = req->fingerprint;
   Shard& shard = ShardFor(fingerprint);
   MutexLock lock(&shard.mu);
   lk.generation = generation_.load(std::memory_order_acquire);
@@ -693,7 +549,8 @@ PredictionService::Lookup PredictionService::LookupArtifacts(
     auto it = shard.entries.find(fingerprint);
     // Confirm the canonical structure: a fingerprint collision must be
     // a miss, never another plan's artifacts.
-    if (it != shard.entries.end() && it->second->identity->key == identity->key) {
+    if (it != shard.entries.end() &&
+        it->second->identity->key == req->identity->key) {
       const EntryPtr& entry = it->second;
       entry->last_used.store(shard.ticket.fetch_add(1, std::memory_order_relaxed),
                              std::memory_order_relaxed);
@@ -705,25 +562,16 @@ PredictionService::Lookup PredictionService::LookupArtifacts(
     }
   }
   auto it = shard.inflight.find(fingerprint);
-  if (it != shard.inflight.end() && it->second->identity->key == identity->key) {
-    if (park != nullptr) {
-      // Continuation handoff: park {request, promise} on the in-flight
-      // record — the winner finishes us with one cheap stage-3 run. No
-      // thread ever blocks in future::get() on this path. The winner
-      // records the parked request's resolution cell when it fulfills it;
-      // the join itself is counted NOW, so a gated winner's joiners are
-      // observable while it is still mid-stages.
-      it->second->waiters.push_back(park);
-      lk.parked = true;
-      StripeFor(fingerprint).inflight_joins.fetch_add(
-          1, std::memory_order_relaxed);
-    } else {
-      lk.join = it->second;
-      StripeFor(fingerprint).inflight_joins.fetch_add(
-          1, std::memory_order_relaxed);
-    }
+  if (it != shard.inflight.end() &&
+      it->second->identity->key == req->identity->key) {
+    // Park on the in-flight record: the winner resolves this request with
+    // one cheap stage-3 run. The join is counted NOW, so a gated winner's
+    // joiners are observable while it is still mid-stages.
+    it->second->waiters.push_back(req);
+    lk.parked = true;
+    StripeFor(fingerprint).inflight_joins.fetch_add(1, std::memory_order_relaxed);
   } else if (it == shard.inflight.end() && register_owned) {
-    lk.owned = std::make_shared<Inflight>(identity);
+    lk.owned = std::make_shared<Inflight>(req->identity);
     shard.inflight.emplace(fingerprint, lk.owned);
   }
   // else: the fingerprint is in flight for a structurally different plan
@@ -731,271 +579,154 @@ PredictionService::Lookup PredictionService::LookupArtifacts(
   return lk;
 }
 
-StatusOr<Prediction> PredictionService::PredictImpl(const Plan& plan,
-                                                    const RequestContext& ctx) {
-  const IdentityPtr identity = plan.Identity();
-  const uint64_t fingerprint = Fingerprint(plan, *identity);
-
-  // Hits are served even past the deadline: the result is already free,
-  // and deadlines bound work consumption, not delivery.
-  EntryPtr hit;
-  if (TryLockFreeHit(fingerprint, *identity, &hit)) {
-    Prediction out = CombineCached(hit);
-    RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk,
-                  /*lock_free=*/true);
-    return out;
-  }
-
-  Lookup lk = LookupArtifacts(fingerprint, identity, /*park=*/nullptr,
-                              /*register_owned=*/true);
+void PredictionService::Serve(const RequestPtr& req) {
+  // An owner past its deadline must not start stage work, but a hit or a
+  // join is still free: deadlines bound work, not delivery. So an expired
+  // request looks up without registering ownership.
+  const bool expired = req->ctx.Expired();
+  const Lookup lk = LookupArtifacts(req, /*register_owned=*/!expired);
+  if (lk.parked) return;  // resolved by the winner (or a timed-out waiter)
   if (lk.entry != nullptr) {
-    Prediction out = CombineCached(lk.entry);
-    RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk);
-    return out;
+    Resolve(*req, CombineCached(lk.entry), /*hit=*/true);
+    return;
   }
-
-  if (lk.join != nullptr) {
-    // Another request is already sampling this plan. Sync paths must hand
-    // a value back to their caller, so waiting here is inherent — and it
-    // blocks only the caller's own thread. (Batch shards park the future
-    // instead; async requests park a continuation.) With a deadline the
-    // wait is bounded: a timed-out joiner DETACHES — it abandons the
-    // shared future (the winner completes, caches and drains everyone
-    // else normally) and resolves on its own.
-    if (ctx.has_deadline) {
-      if (lk.join->future.wait_until(ctx.deadline) ==
-          std::future_status::timeout) {
-        if (ctx.allow_degraded) {
-          Prediction out = MakeDegraded(fingerprint, plan);
-          RecordOutcome(fingerprint, /*hit=*/true, Outcome::kDegraded);
-          return out;
-        }
-        RecordOutcome(fingerprint, /*hit=*/true, Outcome::kDeadline);
-        return Status::DeadlineExceeded(
-            "deadline expired waiting on the in-flight winner");
-      }
-    }
-    StatusOr<Artifacts> joined = lk.join->future.get();
-    if (joined.ok()) {
-      Prediction out = pipeline_.PredictFromArtifacts(joined.value());
-      RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk);
-      return out;
-    }
-    if (ctx.allow_degraded) {
-      Prediction out = MakeDegraded(fingerprint, plan);
-      RecordOutcome(fingerprint, /*hit=*/true, Outcome::kDegraded);
-      return out;
-    }
-    RecordOutcome(fingerprint, /*hit=*/true, OutcomeFor(joined.status()));
-    return joined.status();
+  if (expired) {
+    Resolve(*req,
+            Status::DeadlineExceeded("deadline expired before the request started"),
+            /*hit=*/false);
+    return;
   }
-
   // This request runs (or is shed from) the stages itself: a miss.
-  StatusOr<Artifacts> result =
-      RunOwnedStages(plan, fingerprint, identity, lk, ctx);
-  if (result.ok()) {
-    Prediction out = pipeline_.PredictFromArtifacts(result.value());
-    RecordOutcome(fingerprint, /*hit=*/false, Outcome::kOk);
-    return out;
-  }
-  if (ctx.allow_degraded) {
-    Prediction out = MakeDegraded(fingerprint, plan);
-    RecordOutcome(fingerprint, /*hit=*/false, Outcome::kDegraded);
-    return out;
-  }
-  RecordOutcome(fingerprint, /*hit=*/false, OutcomeFor(result.status()));
-  return result.status();
+  Resolve(*req, Combine(RunOwnedStages(*req, lk)), /*hit=*/false);
 }
 
-StatusOr<Prediction> PredictionService::Predict(const Plan& plan) {
-  return PredictImpl(plan, RequestContext());
+void PredictionService::Resolve(Request& req, StatusOr<Prediction> result,
+                                bool hit) {
+  if (req.claimed.exchange(true, std::memory_order_acq_rel)) return;
+  if (!result.ok() && req.ctx.allow_degraded) {
+    result = MakeDegraded(req.fingerprint, req.degraded_cost);
+  }
+  if (req.owned_plan != nullptr) {
+    ReleasePlan(req.identity->key, req.fingerprint);
+    req.owned_plan.reset();
+  }
+  RecordOutcome(req.fingerprint, hit, OutcomeOf(result));
+  req.promise.set_value(std::move(result));
+}
+
+StatusOr<Prediction> PredictionService::Await(
+    Request& req, std::future<StatusOr<Prediction>>& future) {
+  if (req.ctx.has_deadline &&
+      future.wait_until(req.ctx.deadline) == std::future_status::timeout) {
+    // Only a parked request can still be pending: it detaches from the
+    // winner, which completes and caches normally. If the winner's drain
+    // claimed it first, this Resolve does nothing and get() below returns
+    // the winner's result.
+    Resolve(req,
+            Status::DeadlineExceeded(
+                "deadline expired waiting on the in-flight winner"),
+            /*hit=*/true);
+  }
+  return future.get();
+}
+
+PredictionService::RequestPtr PredictionService::NewRequest(
+    const Plan& plan, IdentityPtr identity, uint64_t fingerprint,
+    const RequestContext& ctx) const {
+  auto req = std::make_shared<Request>();
+  req->fingerprint = fingerprint;
+  req->identity = std::move(identity);
+  req->plan = &plan;
+  req->ctx = ctx;
+  // A parked request may outlive the caller's plan: precompute the scalar
+  // its degraded fallback is built from while the plan is still alive.
+  if (ctx.allow_degraded) req->degraded_cost = OptimizerScalarCost(plan, *db_);
+  return req;
+}
+
+StatusOr<Prediction> PredictionService::Combine(
+    const StatusOr<Artifacts>& artifacts) const {
+  if (!artifacts.ok()) return artifacts.status();
+  return pipeline_.PredictFromArtifacts(artifacts.value(),
+                                        pipeline_.calibration());
 }
 
 StatusOr<Prediction> PredictionService::Predict(const Plan& plan,
                                                 const RequestOptions& opts) {
-  return PredictImpl(plan, MakeContext(opts));
-}
-
-PredictionService::GroupFetch PredictionService::FetchForBatch(
-    const Plan& plan, uint64_t fingerprint, const IdentityPtr& identity,
-    const RequestContext& ctx) {
-  GroupFetch out;
-  EntryPtr hit;
-  if (TryLockFreeHit(fingerprint, *identity, &hit)) {
-    out.entry = std::move(hit);
-    out.hit = true;
-    out.lock_free = true;
-    return out;
-  }
-
-  Lookup lk = LookupArtifacts(fingerprint, identity, /*park=*/nullptr,
-                              /*register_owned=*/true);
-  if (lk.entry != nullptr) {
-    out.entry = lk.entry;
-    out.hit = true;
-    return out;
-  }
-
-  if (lk.join != nullptr) {
-    // Another request's run is in flight. Don't block this pool worker in
-    // future::get(): hand the shared future back as a continuation — the
-    // batch's calling thread resolves it after the fan-out, so the worker
-    // moves on to the next group immediately.
-    out.pending = lk.join->future;
-    out.hit = true;
-    out.join = true;
-    return out;
-  }
-
-  StatusOr<Artifacts> result =
-      RunOwnedStages(plan, fingerprint, identity, lk, ctx);
-  if (result.ok()) {
-    out.artifacts = std::move(result).value();
-  } else {
-    out.failed = true;
-    out.status = result.status();
-  }
-  return out;
-}
-
-void PredictionService::RunAsyncRequest(
-    const std::shared_ptr<AsyncRequest>& req) {
-  // By the time a queued request reaches a worker the cache may have
-  // warmed up; the lock-free probe costs nothing if not.
-  EntryPtr hit;
-  if (TryLockFreeHit(req->fingerprint, *req->identity, &hit)) {
-    FulfillAsyncFromEntry(*req, hit, /*lock_free=*/true);
-    return;
-  }
-
-  if (req->ctx.Expired()) {
-    // Expired while queued: the pool stops spending time on this request
-    // right here — no lookup registration, no stage run. The future still
-    // resolves (DeadlineExceeded or degraded), the in-flight table and
-    // the cache are untouched.
-    FulfillAsync(*req,
-                 Status::DeadlineExceeded("deadline expired in the pool queue"),
-                 /*hit=*/false);
-    return;
-  }
-
-  Lookup lk = LookupArtifacts(req->fingerprint, req->identity, /*park=*/req,
-                              /*register_owned=*/true);
-  if (lk.parked) return;  // the winner will finish us; worker freed
-  if (lk.entry != nullptr) {
-    FulfillAsyncFromEntry(*req, lk.entry, /*lock_free=*/false);
-    return;
-  }
-
-  const StatusOr<Artifacts> result =
-      RunOwnedStages(*req->plan, req->fingerprint, req->identity, lk, req->ctx);
-  FulfillAsync(*req, result, /*hit=*/false);
-}
-
-std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
-    const Plan& plan) {
-  return PredictAsync(plan, RequestOptions());
+  IdentityPtr identity = plan.Identity();
+  const uint64_t fingerprint = Fingerprint(plan, *identity);
+  // Hits are served even past the deadline: the result is already free.
+  Prediction hot;
+  if (TryLockFreeHit(fingerprint, *identity, &hot)) return hot;
+  const RequestPtr req =
+      NewRequest(plan, std::move(identity), fingerprint, MakeContext(opts));
+  std::future<StatusOr<Prediction>> future = req->promise.get_future();
+  Serve(req);
+  return Await(*req, future);
 }
 
 std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
     const Plan& plan, const RequestOptions& opts) {
-  auto req = std::make_shared<AsyncRequest>();
-  req->ctx = MakeContext(opts);
-  req->identity = plan.Identity();
-  req->fingerprint = Fingerprint(plan, *req->identity);
+  IdentityPtr identity = plan.Identity();
+  const uint64_t fingerprint = Fingerprint(plan, *identity);
+  Prediction hot;
+  if (TryLockFreeHit(fingerprint, *identity, &hot)) {
+    std::promise<StatusOr<Prediction>> ready;
+    ready.set_value(std::move(hot));
+    return ready.get_future();
+  }
+  const RequestPtr req =
+      NewRequest(plan, std::move(identity), fingerprint, MakeContext(opts));
   std::future<StatusOr<Prediction>> future = req->promise.get_future();
 
-  // Submit-time fast paths on the caller's thread, before paying for a
-  // registry clone or a pool round-trip. A hot-cache hit resolves here
-  // through the lock-free probe — a few atomic loads and a key confirm,
-  // no service mutex at all; a warm hit displaced from its published
-  // slot resolves through the shard (not global) lock; and a plan already
-  // being sampled parks a plan-free continuation (stage 3 needs only the
-  // artifacts). None of these touch the caller's plan after this call
-  // returns.
-  EntryPtr hit;
-  if (TryLockFreeHit(req->fingerprint, *req->identity, &hit)) {
-    FulfillAsyncFromEntry(*req, hit, /*lock_free=*/true);
-    return future;
-  }
-  // A request that may degrade must not need the caller's plan at
-  // resolution time (a parked continuation holds no plan; the caller's
-  // may be destroyed the moment we return): precompute the optimizer
-  // scalar its fallback would be built from, before the park below.
-  if (req->ctx.allow_degraded) {
-    req->degraded_cost = OptimizerScalarCost(plan, *db_);
-  }
-  Lookup lk = LookupArtifacts(req->fingerprint, req->identity, /*park=*/req,
-                              /*register_owned=*/false);
+  // Submit-time prefix on the caller's thread, before paying for a
+  // registry clone or a pool round-trip: a warm hit displaced from its
+  // published slot resolves through the shard (not global) lock, and a
+  // plan already being sampled parks a plan-free continuation (stage 3
+  // needs only the artifacts). Neither touches the caller's plan after
+  // this call returns.
+  const Lookup lk = LookupArtifacts(req, /*register_owned=*/false);
   if (lk.parked) return future;
   if (lk.entry != nullptr) {
-    FulfillAsyncFromEntry(*req, lk.entry, /*lock_free=*/false);
+    Resolve(*req, CombineCached(lk.entry), /*hit=*/true);
     return future;
   }
 
   // Cold miss: own the plan before returning. From here on the caller's
   // Plan is never touched again, so it may be destroyed as soon as this
   // call returns.
-  req->plan = InternPlan(plan, req->identity->key, req->fingerprint);
-
-  bool rejected = false;
-  {
-    MutexLock lock(&pool_mu_);
-    if (shutdown_) {
-      rejected = true;
-    } else {
-      pool_queue_.push_back([this, req] { RunAsyncRequest(req); });
-    }
-  }
-  if (rejected) {
-    if (options_.drain_on_shutdown) {
-      // Graceful drain: run the prediction inline on the calling thread.
-      // Degraded latency, identical result — and still fully raced
-      // correctly: an inline latecomer that finds another request's run
-      // in flight parks on it (atomically with the lookup), and that
-      // winner drains it like any other continuation.
-      StripeFor(req->fingerprint)
-          .drained_inline.fetch_add(1, std::memory_order_relaxed);
-      RunAsyncRequest(req);
-      return future;
-    }
-    // The pool is gone; enqueueing would leave the future unsatisfied
-    // forever. Fail fast instead.
-    StripeFor(req->fingerprint)
-        .async_rejects.fetch_add(1, std::memory_order_relaxed);
-    ReleasePlan(req->identity->key, req->fingerprint);
-    req->plan.reset();
-    req->promise.set_value(
-        Status::Unavailable("PredictionService is shut down"));
+  req->owned_plan = InternPlan(plan, req->identity->key, fingerprint);
+  req->plan = req->owned_plan.get();
+  if (runner_.Submit([this, req] { Serve(req); })) {
+    MaybeSpuriousWakeup();
     return future;
   }
-  pool_cv_.NotifyOne();
-  MaybeSpuriousWakeup();
+  if (options_.drain_on_shutdown) {
+    // Graceful drain: run the prediction inline on the calling thread.
+    // Degraded latency, identical result — and still fully raced
+    // correctly: an inline latecomer that finds another request's run in
+    // flight parks on it, and that winner resolves it like any joiner.
+    StripeFor(fingerprint).drained_inline.fetch_add(1, std::memory_order_relaxed);
+    Serve(req);
+    return future;
+  }
+  // The pool is gone; enqueueing would leave the future unsatisfied
+  // forever. Fail fast instead (a refused call is not a prediction).
+  StripeFor(fingerprint).async_rejects.fetch_add(1, std::memory_order_relaxed);
+  ReleasePlan(req->identity->key, fingerprint);
+  req->owned_plan.reset();
+  req->promise.set_value(Status::Unavailable("PredictionService is shut down"));
   return future;
 }
 
 std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const Plan* const* plans, size_t count) {
-  return PredictBatch(plans, count, RequestOptions());
-}
-
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const Plan* const* plans, size_t count, const RequestOptions& opts) {
+    const std::vector<const Plan*>& plans, const RequestOptions& opts) {
   const RequestContext ctx = MakeContext(opts);
   stripes_[0].batch_calls.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StatusOr<Prediction>> results;
-  results.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    // Unreachable sentinel: the stage-3 fan-out below writes EVERY slot a
-    // terminal status on every path (group failure, degraded conversion,
-    // pending timeout included) — service_test pins that no slot ever
-    // leaks this value.
-    results.emplace_back(Status::Internal("batch slot never resolved"));
-  }
-  if (count == 0) return results;
+  const size_t count = plans.size();
 
   // Dedup: plans sharing a fingerprint AND the canonical structure share
-  // one sample run. Grouping on the structural key too keeps the cache's
+  // one request. Grouping on the structural key too keeps the cache's
   // collision guarantee inside a batch: colliding plans form separate
   // groups instead of silently sharing artifacts.
   std::vector<uint64_t> fingerprints(count);
@@ -1015,96 +746,52 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     if (inserted) representative.push_back(i);
   }
 
-  // Stages 1-2 (through the cache) once per distinct plan, sharded.
-  // Shards that find another request's run in flight park its shared
-  // future instead of blocking the worker. Classification is deferred to
-  // the per-slot stage-3 fan-out below.
-  std::vector<GroupFetch> fetched(representative.size());
-  const std::function<void(size_t)> stages12 = [&](size_t g) {
-    const size_t rep = representative[g];
-    fetched[g] =
-        FetchForBatch(*plans[rep], fingerprints[rep], identities[rep], ctx);
-  };
-  ParallelFor(representative.size(), stages12);
-
-  // Resolve parked in-flight joins on the CALLING thread: the batch must
-  // still block until each winner finishes (its results are part of this
-  // batch's return value), but no pool worker spends that wait in
-  // future::get() — they went back to real work the moment they parked.
-  // With a deadline the wait is bounded: a timed-out group detaches from
-  // its winner (who completes and caches normally) and resolves
-  // DeadlineExceeded — convertible per slot to a degraded fallback below.
-  for (GroupFetch& f : fetched) {
-    if (!f.pending.valid()) continue;
-    if (ctx.has_deadline &&
-        f.pending.wait_until(ctx.deadline) == std::future_status::timeout) {
-      f.failed = true;
-      f.status = Status::DeadlineExceeded(
-          "deadline expired waiting on the in-flight winner");
-      f.pending = std::shared_future<StatusOr<Artifacts>>();
-      continue;
-    }
-    StatusOr<Artifacts> joined = f.pending.get();
-    if (joined.ok()) {
-      f.artifacts = std::move(joined).value();
-    } else {
-      f.failed = true;
-      f.status = joined.status();
-    }
-    f.pending = std::shared_future<StatusOr<Artifacts>>();
-  }
-
-  // Stage 3 per plan, sharded. In-batch duplicates are served from their
-  // group's shared artifacts without any stage-1/2 work: cache hits.
-  // Groups served from a resident entry go through the epoch memo
-  // (CombineCached), so a hot batch under an unchanged epoch runs zero
-  // combination work. EVERY slot resolves to its own terminal status
-  // here, and each slot's resolution-matrix cell is recorded exactly
-  // once: the representative inherits its group's hit/miss, duplicates
-  // are hits.
-  const std::function<void(size_t)> stage3 = [&](size_t i) {
-    const size_t g = group_ids[i];
-    const GroupFetch& f = fetched[g];
-    const bool is_rep = representative[g] == i;
-    const bool hit = is_rep ? (f.hit || f.join) : true;
-    const bool lock_free = is_rep && f.lock_free;
-    if (f.failed) {
-      if (ctx.allow_degraded) {
-        results[i] = MakeDegraded(fingerprints[i], *plans[i]);
-        RecordOutcome(fingerprints[i], hit, Outcome::kDegraded);
-      } else {
-        results[i] = f.status;
-        RecordOutcome(fingerprints[i], hit, OutcomeFor(f.status));
-      }
+  // Unreachable sentinel: every slot is written below on every path
+  // (group failure, degraded conversion, deadline detach included) —
+  // service_test pins that no slot ever leaks this value.
+  std::vector<StatusOr<Prediction>> results(
+      count, Status::Internal("batch slot never resolved"));
+  // One request per group, served across the pool with the calling thread
+  // participating. A group whose plan another request is already sampling
+  // parks on that run instead of holding a worker; the calling thread
+  // awaits the parked ones after the fan-out.
+  const size_t groups = representative.size();
+  std::vector<RequestPtr> reqs(groups);
+  std::vector<std::future<StatusOr<Prediction>>> futures(groups);
+  runner_.RunTasks(static_cast<int64_t>(groups), [&](int64_t g) {
+    const size_t rep = representative[static_cast<size_t>(g)];
+    Prediction hot;
+    if (TryLockFreeHit(fingerprints[rep], *identities[rep], &hot)) {
+      results[rep] = std::move(hot);
       return;
     }
-    if (f.entry != nullptr) {
-      results[i] = CombineCached(f.entry);
-    } else {
-      results[i] = pipeline_.PredictFromArtifacts(f.artifacts);
+    RequestPtr& req = reqs[static_cast<size_t>(g)];
+    req = NewRequest(*plans[rep], identities[rep], fingerprints[rep], ctx);
+    futures[static_cast<size_t>(g)] = req->promise.get_future();
+    Serve(req);
+  });
+  for (size_t g = 0; g < groups; ++g) {
+    if (reqs[g] != nullptr) {
+      results[representative[g]] = Await(*reqs[g], futures[g]);
     }
-    RecordOutcome(fingerprints[i], hit, Outcome::kOk, lock_free);
-  };
-  ParallelFor(count, stage3);
+  }
+  // In-batch duplicates copy their group's result: they ran no stage work
+  // of their own, so each is a hit.
+  for (size_t i = 0; i < count; ++i) {
+    const size_t rep = representative[group_ids[i]];
+    if (rep == i) continue;
+    results[i] = results[rep];
+    RecordOutcome(fingerprints[i], /*hit=*/true, OutcomeOf(results[i]));
+  }
   return results;
 }
 
 std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const std::vector<const Plan*>& plans) {
-  return PredictBatch(plans.data(), plans.size());
-}
-
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const std::vector<const Plan*>& plans, const RequestOptions& opts) {
-  return PredictBatch(plans.data(), plans.size(), opts);
-}
-
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const std::vector<Plan>& plans) {
+    const std::vector<Plan>& plans, const RequestOptions& opts) {
   std::vector<const Plan*> ptrs;
   ptrs.reserve(plans.size());
   for (const Plan& p : plans) ptrs.push_back(&p);
-  return PredictBatch(ptrs.data(), ptrs.size());
+  return PredictBatch(ptrs, opts);
 }
 
 VarianceBreakdown PredictionService::Recompute(const Prediction& prediction,
@@ -1136,55 +823,53 @@ void PredictionService::ReportObserved(const Plan& plan, double observed_ms) {
 
 void PredictionService::ReportObserved(uint64_t fingerprint,
                                        double observed_ms) {
-  if (feedback_ == nullptr) return;
-  StatsStripe& stripe = StripeFor(fingerprint);
-  stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
-  if (!(observed_ms > 0.0)) {
-    stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   // The error is computed lazily — converged families skip it entirely —
   // against the family's cached prediction under the CURRENT snapshot
   // (through the epoch memo, so a hot family pays zero combination work).
   // Every cache-backed computation refreshes the family's stash; when the
   // plan was evicted (or flushed) the stashed mean is the fallback
   // comparison point, so late reports still land instead of dropping.
-  const auto error_fn = [this, fingerprint, observed_ms](
-                            PredictionStash* stash, double* out) {
-    const EntryPtr entry = FindEntry(fingerprint);
-    if (entry != nullptr) {
-      const Prediction prediction = CombineCached(entry);
-      stash->mean_ms = prediction.mean();
-      stash->epoch = prediction.calibration->epoch;
-      stash->valid = true;
-      *out = (observed_ms - prediction.mean()) / observed_ms;
-      return true;
-    }
-    if (!stash->valid) return false;  // never predicted: nothing to compare to
-    // The stash may predate the current calibration epoch; that slack is
-    // bounded by one eviction-to-report gap and beats dropping the report.
-    StripeFor(fingerprint)
-        .feedback_stash_hits.fetch_add(1, std::memory_order_relaxed);
-    *out = (observed_ms - stash->mean_ms) / observed_ms;
-    return true;
-  };
-  const FeedbackRegistry::Action action =
-      feedback_->Observe(fingerprint, error_fn);
-  switch (action) {
-    case FeedbackRegistry::Action::kDropped:
-      stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FeedbackRegistry::Action::kDrift:
-      HandleDrift(fingerprint);
-      break;
-    default:
-      break;
-  }
+  Report(fingerprint, observed_ms,
+         [this, fingerprint, observed_ms](PredictionStash* stash, double* out) {
+           const EntryPtr entry = FindEntry(fingerprint);
+           if (entry != nullptr) {
+             const Prediction prediction = CombineCached(entry);
+             stash->mean_ms = prediction.mean();
+             stash->epoch = prediction.calibration->epoch;
+             stash->valid = true;
+             *out = (observed_ms - prediction.mean()) / observed_ms;
+             return true;
+           }
+           if (!stash->valid) return false;  // never predicted: nothing to compare
+           // The stash may predate the current calibration epoch; that
+           // slack is bounded by one eviction-to-report gap and beats
+           // dropping the report.
+           StripeFor(fingerprint)
+               .feedback_stash_hits.fetch_add(1, std::memory_order_relaxed);
+           *out = (observed_ms - stash->mean_ms) / observed_ms;
+           return true;
+         });
 }
 
 void PredictionService::ReportObservedAgainst(uint64_t fingerprint,
                                               const Prediction& as_decided,
                                               double observed_ms) {
+  // The comparison point is pinned by the caller (the prediction its
+  // admission/ordering decision used), so no cache lookup: the report
+  // lands even for plans that were never cached here, and a calibration
+  // swap between decision and completion cannot silently shift the error.
+  Report(fingerprint, observed_ms,
+         [&as_decided, observed_ms](PredictionStash* stash, double* out) {
+           stash->mean_ms = as_decided.mean();
+           stash->epoch = as_decided.calibration_epoch();
+           stash->valid = true;
+           *out = (observed_ms - as_decided.mean()) / observed_ms;
+           return true;
+         });
+}
+
+void PredictionService::Report(uint64_t fingerprint, double observed_ms,
+                               const FeedbackRegistry::ErrorFn& error_fn) {
   if (feedback_ == nullptr) return;
   StatsStripe& stripe = StripeFor(fingerprint);
   stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
@@ -1192,21 +877,7 @@ void PredictionService::ReportObservedAgainst(uint64_t fingerprint,
     stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // The comparison point is pinned by the caller (the prediction its
-  // admission/ordering decision used), so no cache lookup: the report
-  // lands even for plans that were never cached here, and a calibration
-  // swap between decision and completion cannot silently shift the error.
-  const auto error_fn = [&as_decided, observed_ms](PredictionStash* stash,
-                                                   double* out) {
-    stash->mean_ms = as_decided.mean();
-    stash->epoch = as_decided.calibration_epoch();
-    stash->valid = true;
-    *out = (observed_ms - as_decided.mean()) / observed_ms;
-    return true;
-  };
-  const FeedbackRegistry::Action action =
-      feedback_->Observe(fingerprint, error_fn);
-  switch (action) {
+  switch (feedback_->Observe(fingerprint, error_fn)) {
     case FeedbackRegistry::Action::kDropped:
       stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
       break;

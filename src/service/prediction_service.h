@@ -4,12 +4,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +16,7 @@
 #include "common/thread_annotations.h"
 #include "core/pipeline.h"
 #include "cost/snapshot.h"
+#include "engine/executor.h"
 #include "engine/plan.h"
 #include "service/fault.h"
 #include "service/feedback.h"
@@ -70,15 +69,15 @@ struct ServiceOptions {
   /// the pool to the hardware concurrency, capped at 4 — prediction sits
   /// on the admission path and must not monopolize the machine it gates.
   ///
-  /// The same pool also backs intra-plan parallelism when
-  /// predictor.num_threads != 1: a lone cold request fans its sample run
-  /// out across idle workers — every operator shards, including sort
-  /// (fixed-shape blocked merge tree), aggregation (per-chunk tables
-  /// merged in chunk order) and merge-join group emission — while a
-  /// saturated service degrades gracefully: shard tasks queue behind
-  /// plan-level work and the thread running the prediction executes its
-  /// own shards, i.e. one-thread-per-plan behavior. Results are
-  /// bit-identical either way.
+  /// The same pool (one engine MorselPool) also backs intra-plan
+  /// parallelism when predictor.num_threads != 1: a lone cold request fans
+  /// its sample run out across idle workers — every operator shards,
+  /// including sort (fixed-shape blocked merge tree), aggregation
+  /// (per-chunk tables merged in chunk order) and merge-join group
+  /// emission — while a saturated service degrades gracefully: a worker
+  /// takes the next queued request before helping a fan-out, and the
+  /// thread running the prediction executes its own shards, i.e.
+  /// one-thread-per-plan behavior. Results are bit-identical either way.
   int num_workers = 0;
   /// Capacity of the sample-run cache (distinct plan fingerprints held);
   /// 0 disables caching entirely. The capacity is enforced per shard
@@ -113,7 +112,7 @@ struct ServiceOptions {
   /// Test seam: called after stages 1-2 of a cache miss run, before the
   /// artifacts are published to the cache. Lets tests interleave
   /// InvalidateCache deterministically with an in-flight prediction, and
-  /// gate an in-flight winner while async losers park continuations.
+  /// gate an in-flight winner while joiners park on it.
   std::function<void()> post_stages_hook;
   /// Online feedback loop (ReportObserved): per-plan-family error
   /// tracking, convergence detection, and drift-triggered recalibration.
@@ -121,7 +120,7 @@ struct ServiceOptions {
   FeedbackOptions feedback;
   /// Test/bench seam: deterministic fault injection (see service/fault.h).
   /// Consulted once per stage-1 attempt (injected latency, injected
-  /// failure) and once per pool enqueue (spurious wakeups). Null — the
+  /// failure) and once per async pool submit (spurious wakeups). Null — the
   /// production default — costs exactly one pointer test per site. Not
   /// owned; must outlive the service.
   FaultInjector* fault_injector = nullptr;
@@ -166,10 +165,9 @@ struct ServiceStats {
   uint64_t deadline_exceeded = 0;  ///< requests resolved DeadlineExceeded
   uint64_t lockfree_hits = 0;   ///< hits served by the mutex-free published
                                 ///< slot path (subset of cache_hits)
-  uint64_t inflight_joins = 0;  ///< requests that joined an in-flight miss
-                                ///< (parked async continuations + blocking
-                                ///< sync/batch joins), counted when they
-                                ///< park — observable mid-run
+  uint64_t inflight_joins = 0;  ///< requests that parked on an in-flight
+                                ///< miss (any entry point), counted when
+                                ///< they park — observable mid-run
   uint64_t stale_drops = 0;     ///< cache inserts dropped by InvalidateCache generation
   uint64_t plan_clones = 0;     ///< deep copies made by the async plan registry
                                 ///< (interned duplicates don't re-clone)
@@ -237,23 +235,21 @@ struct ServiceStats {
 /// windows converge (and stop paying tracking overhead) or drift (and
 /// trigger a recalibration through FeedbackOptions::recalibrate).
 ///
-/// Concurrent misses on the same fingerprint are deduplicated through the
-/// shard's in-flight table: the first request runs stages 1-2. A
-/// concurrent async duplicate parks a continuation {owned plan, promise}
-/// on the winner's in-flight record and returns its worker to the pool;
-/// when the winner finishes, it drains the continuation list by running
-/// the cheap stage-3 combination per waiter. Synchronous Predict calls
-/// block their own calling thread on the winner's shared future; a
-/// PredictBatch shard that finds another request's run in flight parks
-/// the shared future and moves on — the batch's calling thread resolves
-/// all parked futures after the fan-out, so no pool worker ever blocks in
-/// future::get(). So a same-fingerprint storm occupies exactly one
-/// worker, never the pool. Served predictions alias the immutable cached
-/// artifacts via shared_ptr (zero-copy), so a hot-cache prediction costs
-/// at most one variance combination — and exactly zero when the entry's
-/// memoized combination matches the current calibration epoch. Every
-/// stage is deterministic: cached, batched, async and sequential
-/// predictions are bit-identical.
+/// Every entry point drives one request state machine: after a lock-free
+/// hot-hit probe, a request looks its fingerprint up in its shard and is
+/// either a hit (served from the cache), parked on another request's
+/// in-flight run, or the owner of a new run, which executes stages 1-2
+/// and then resolves itself and every parked joiner with the cheap
+/// stage-3 combination. Each request is resolved exactly once. A parked
+/// joiner holds no thread: async ones return their worker, and sync and
+/// batch callers wait on their own request's future — bounded by the
+/// deadline, after which they detach. So a same-fingerprint storm
+/// occupies exactly one worker, never the pool. Served predictions alias
+/// the immutable cached artifacts via shared_ptr (zero-copy), so a
+/// hot-cache prediction costs at most one variance combination — and
+/// exactly zero when the entry's memoized combination matches the current
+/// calibration epoch. Every stage is deterministic: cached, batched, async
+/// and sequential predictions are bit-identical.
 class PredictionService {
  public:
   PredictionService(const Database* db, const SampleDb* samples,
@@ -265,17 +261,17 @@ class PredictionService {
 
   const PredictionPipeline& pipeline() const { return pipeline_; }
   const ServiceOptions& options() const { return options_; }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  /// The pool's helper threads (its calling-thread slot is not a worker).
+  int num_workers() const { return runner_.num_threads() - 1; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// Full prediction of one plan, on the calling thread. Safe to call
   /// concurrently from any number of threads. The plan is only read for
-  /// the duration of the call. The RequestOptions overload adds a
-  /// deadline (cooperatively cancelled at the next operator/morsel
-  /// boundary; a sync join past its deadline detaches from the winner and
-  /// resolves immediately) and/or opts into cost-only degradation.
-  StatusOr<Prediction> Predict(const Plan& plan);
-  StatusOr<Prediction> Predict(const Plan& plan, const RequestOptions& opts);
+  /// the duration of the call. `opts` adds a deadline (cooperatively
+  /// cancelled at the next operator/morsel boundary; a sync join past its
+  /// deadline detaches from the winner and resolves immediately) and/or
+  /// opts into cost-only degradation.
+  StatusOr<Prediction> Predict(const Plan& plan, const RequestOptions& opts = {});
 
   /// Full prediction of one plan on the worker pool; returns immediately.
   /// The caller can overlap queueing/scheduling work with the prediction
@@ -295,38 +291,31 @@ class PredictionService {
   /// continuation on the in-flight run. Only a genuine cold miss pays the
   /// clone and the pool round-trip.
   ///
+  /// With a deadline, a request that expired while queued never runs the
+  /// stages; its future resolves DeadlineExceeded or degraded. A parked
+  /// dedup loser is resolved by its winner even past the deadline — the
+  /// work was paid by someone else, delivery is free.
+  ///
   /// After Shutdown() the returned future is never left unsatisfied:
   /// cache hits are still served inline; anything needing the pool is
   /// either immediately ready with Status::Unavailable (default) or, with
   /// drain_on_shutdown, predicted inline on the calling thread.
-  std::future<StatusOr<Prediction>> PredictAsync(const Plan& plan);
-  /// RequestOptions variant: an async request whose deadline has already
-  /// expired when a worker dequeues it never runs the stages (the pool
-  /// stops spending time on it); its future resolves DeadlineExceeded or
-  /// degraded. A parked dedup loser is resolved by its winner even past
-  /// the deadline — the work was paid by someone else, delivery is free.
   std::future<StatusOr<Prediction>> PredictAsync(const Plan& plan,
-                                                 const RequestOptions& opts);
+                                                 const RequestOptions& opts = {});
 
-  /// Predicts every plan in the span, sharding across the worker pool
-  /// (the calling thread participates). Results are positional; each plan
-  /// gets its own Status. Bit-identical to calling Predict sequentially.
+  /// Predicts every plan, sharding across the worker pool (the calling
+  /// thread participates). Results are positional; each plan gets its own
+  /// Status. Bit-identical to calling Predict sequentially.
   ///
   /// Per-shard status contract: EVERY slot resolves to its own terminal
   /// status — a group whose stage run failed propagates that same failure
   /// (or a degraded fallback) to each of its slots; no placeholder status
-  /// ever escapes, including on mid-batch faults. The RequestOptions
-  /// apply to every plan in the batch.
-  std::vector<StatusOr<Prediction>> PredictBatch(const Plan* const* plans,
-                                                 size_t count);
-  std::vector<StatusOr<Prediction>> PredictBatch(const Plan* const* plans,
-                                                 size_t count,
-                                                 const RequestOptions& opts);
+  /// ever escapes, including on mid-batch faults. `opts` applies to every
+  /// plan in the batch.
   std::vector<StatusOr<Prediction>> PredictBatch(
-      const std::vector<const Plan*>& plans);
+      const std::vector<const Plan*>& plans, const RequestOptions& opts = {});
   std::vector<StatusOr<Prediction>> PredictBatch(
-      const std::vector<const Plan*>& plans, const RequestOptions& opts);
-  std::vector<StatusOr<Prediction>> PredictBatch(const std::vector<Plan>& plans);
+      const std::vector<Plan>& plans, const RequestOptions& opts = {});
 
   /// Re-derives the distribution of an existing prediction under a
   /// different variant/bound without re-running any stage (the ablation /
@@ -400,7 +389,7 @@ class PredictionService {
   /// leaving their futures unsatisfied forever. Synchronous
   /// Predict/PredictBatch keep working (inline on the calling thread).
   /// Idempotent; called by the destructor.
-  void Shutdown();
+  void Shutdown() { runner_.Shutdown(); }
 
   /// Snapshot of the service counters, summed over the per-shard stripes.
   /// Internally consistent: the hit/miss split always sums to
@@ -457,46 +446,46 @@ class PredictionService {
   enum class Outcome { kOk = 0, kFailed = 1, kDegraded = 2, kDeadline = 3 };
   static constexpr size_t kNumOutcomes = 4;
 
-  /// One PredictAsync invocation: the service-owned (registry-interned)
-  /// plan, its identity, and the caller's promise. Also the continuation
-  /// record a dedup loser parks on the winner's in-flight entry — holding
-  /// the owned plan keeps the registry entry alive until the request is
-  /// actually served.
-  struct AsyncRequest {
-    std::shared_ptr<const Plan> plan;  ///< owned by the registry, not the caller
+  /// One request of any entry point, from lookup to resolution — and the
+  /// record a dedup joiner parks on the winner's in-flight entry. Its
+  /// resolution needs nothing from the caller's plan, which a parked
+  /// request may outlive (a PredictAsync caller, or a sync waiter that
+  /// timed out, has already returned).
+  struct Request {
     uint64_t fingerprint = 0;
     IdentityPtr identity;  ///< interned canonical structure (shared, not copied)
-    std::promise<StatusOr<Prediction>> promise;
+    /// The plan an owner runs stages on: the caller's (sync, batch — alive
+    /// while the call runs Serve) or `owned_plan`. Never read once parked.
+    const Plan* plan = nullptr;
+    /// Registry clone held by a cold async request until it resolves.
+    std::shared_ptr<const Plan> owned_plan;
     RequestContext ctx;
-    /// OptimizerScalarCost precomputed at submit time when
-    /// ctx.allow_degraded: a parked continuation holds no plan (parking
-    /// happens before interning), so its degraded fallback must not need
-    /// one. < 0 = not computed.
-    double degraded_cost = -1.0;
+    /// OptimizerScalarCost, precomputed when ctx.allow_degraded so the
+    /// degraded fallback needs no plan.
+    double degraded_cost = 0.0;
+    std::promise<StatusOr<Prediction>> promise;
+    /// Claimed by the one Resolve that fulfills `promise`: a waiter timing
+    /// out and the winner's drain may race to resolve a parked request.
+    std::atomic<bool> claimed{false};
   };
+  using RequestPtr = std::shared_ptr<Request>;
 
-  /// One in-flight stage-1/2 execution: the winner fulfills the promise,
-  /// concurrent sync requests for the same plan wait on the shared future,
-  /// concurrent async requests park on `waiters` and are finished by the
-  /// winner (continuation handoff) without pinning a worker.
+  /// One in-flight stage-1/2 execution: every request that finds it parks
+  /// on `waiters`, and the owner resolves them all when its run completes.
   struct Inflight {
     explicit Inflight(IdentityPtr identity_in)
-        : identity(std::move(identity_in)) {
-      future = promise.get_future().share();
-    }
+        : identity(std::move(identity_in)) {}
     IdentityPtr identity;  ///< structure of the plan being computed
-    std::promise<StatusOr<Artifacts>> promise;
-    std::shared_future<StatusOr<Artifacts>> future;
-    /// Parked async losers, guarded by the owning shard's mutex — a
-    /// capability that is not a member of this struct, so the invariant
-    /// is not expressible as a GUARDED_BY annotation (thread-safety
-    /// analysis can only name capabilities reachable from the declaration).
-    /// The discipline is structural instead: `waiters` is only mutated
-    /// while this entry is reachable from the shard's in-flight map
+    /// Parked joiners, guarded by the owning shard's mutex — a capability
+    /// that is not a member of this struct, so the invariant is not
+    /// expressible as a GUARDED_BY annotation (thread-safety analysis can
+    /// only name capabilities reachable from the declaration). The
+    /// discipline is structural instead: `waiters` is only mutated while
+    /// this entry is reachable from the shard's in-flight map
     /// (LookupArtifacts parks under shard.mu), and the completing thread
     /// detaches the whole list under the same lock (CompleteRun), so no
-    /// continuation is ever lost.
-    std::vector<std::shared_ptr<AsyncRequest>> waiters;
+    /// joiner is ever lost.
+    std::vector<RequestPtr> waiters;
   };
 
   /// Memoized stage-3 combination of one cache entry, stamped with the
@@ -596,65 +585,67 @@ class PredictionService {
 
   /// Result of one pass over the shard's cache and in-flight table.
   struct Lookup {
-    EntryPtr entry;       ///< cache hit (request recorded as a hit)
-    bool parked = false;  ///< continuation parked; request recorded as a join
-    std::shared_ptr<Inflight> join;   ///< in-flight run to wait on
+    EntryPtr entry;       ///< cache hit
+    bool parked = false;  ///< request parked on an in-flight run
     std::shared_ptr<Inflight> owned;  ///< in-flight entry this request owns
     uint64_t generation = 0;
   };
 
-  /// One non-blocking artifact fetch for a PredictBatch group: exactly one
-  /// of {entry, pending, artifacts-or-status} is the outcome. `pending`
-  /// (an in-flight join) is resolved later by the batch's CALLING thread,
-  /// so no pool worker blocks in future::get(). Classification is
-  /// deferred: the stage-3 fan-out records each SLOT's resolution from
-  /// the flags below (the representative inherits the group's hit/miss;
-  /// in-batch duplicates are always hits).
-  struct GroupFetch {
-    EntryPtr entry;  ///< cache hit: stage 3 serves through the epoch memo
-    std::shared_future<StatusOr<Artifacts>> pending;  ///< joined in-flight run
-    Artifacts artifacts;  ///< ran stages itself (or resolved from pending)
-    Status status;        ///< stage failure (from self-run or pending)
-    bool failed = false;
-    bool hit = false;        ///< representative was served without stage work
-    bool join = false;       ///< representative joined an in-flight run
-    bool lock_free = false;  ///< the hit came off the published-slot path
-  };
-
-  /// The mutex-free fast path: probes the shard's published slot ways for
-  /// a current-generation entry with this fingerprint and a confirmed
-  /// structural key. On a hit, returns the entry (artifacts + epoch memo)
-  /// and bumps its recency tick (relaxed) — no mutex anywhere. Does NOT
-  /// classify the request: the caller records the resolution (hit, ok,
-  /// lock_free) when it actually serves. Returns false on any mismatch
-  /// (empty ways, displaced entry, stale generation, collision).
+  /// The mutex-free hot-hit path every entry point tries first, before it
+  /// allocates any Request or promise: probes the shard's published slot
+  /// ways for a current-generation entry with this fingerprint and a
+  /// confirmed structural key. On a hit, bumps the entry's recency tick
+  /// (relaxed), serves `*out` through the epoch memo and records the
+  /// request as a lock-free hit — no mutex anywhere. Returns false on any
+  /// mismatch (empty ways, displaced entry, stale generation, collision).
   bool TryLockFreeHit(uint64_t fingerprint, const PlanIdentity& identity,
-                      EntryPtr* out);
+                      Prediction* out);
 
-  /// The single shared locked lookup of every request path (sync, async
-  /// worker, async submit, batch shard), so the collision and generation
-  /// rules live in exactly one place: probes the shard's cache
+  /// The locked lookup step of the state machine, so the collision and
+  /// generation rules live in exactly one place: probes the shard's cache
   /// (structural key confirmed, recency bumped, slot republished), then
-  /// the shard's in-flight table. A joinable run is parked on when `park`
-  /// is non-null (async — atomic with the lookup, so the winner cannot
-  /// complete in between and lose the continuation) or returned as `join`
-  /// for the caller to wait on (sync blocks; batch parks the future). On
-  /// a full miss, registers this request as the new in-flight owner when
-  /// `register_owned` (worker/sync/batch paths); the submit-time fast
-  /// path passes false and enqueues instead. Does NOT classify the
-  /// request — each path records its resolution-matrix cell when the
-  /// caller-visible result is decided.
-  Lookup LookupArtifacts(uint64_t fingerprint, const IdentityPtr& identity,
-                         const std::shared_ptr<AsyncRequest>& park,
-                         bool register_owned);
+  /// the shard's in-flight table, parking `req` on a joinable run —
+  /// atomically with the lookup, so the winner cannot complete in between
+  /// and lose it. On a full miss, registers `req` as the new in-flight
+  /// owner when `register_owned`; PredictAsync's submit-time prefix passes
+  /// false and enqueues instead. Does NOT classify the request.
+  Lookup LookupArtifacts(const RequestPtr& req, bool register_owned);
+
+  /// The request state machine: lookup → hit | park | own → stages →
+  /// resolve. A hit or an owner resolves `req` before returning; a parked
+  /// request is resolved by its winner (or by its own timed-out waiter).
+  /// An owner whose deadline already passed never starts: it resolves
+  /// DeadlineExceeded (or degraded) without registering or running stages.
+  void Serve(const RequestPtr& req);
+
+  /// The single resolution point of a request. The first caller claims it
+  /// (later ones return without effect), converts a failure into the
+  /// cost-only fallback when the request opted in, records its
+  /// [hit][outcome] matrix cell, releases its registry plan — before the
+  /// promise fires, so a caller that saw the future complete also sees the
+  /// registry drained — and fulfills the promise.
+  void Resolve(Request& req, StatusOr<Prediction> result, bool hit);
+
+  /// A sync or batch caller's wait for its own request. Past the deadline
+  /// the waiter detaches: it resolves DeadlineExceeded (or degraded)
+  /// unless the winner's drain claimed the request first; the winner
+  /// still completes and caches normally.
+  StatusOr<Prediction> Await(Request& req,
+                             std::future<StatusOr<Prediction>>& future);
+
+  RequestPtr NewRequest(const Plan& plan, IdentityPtr identity,
+                        uint64_t fingerprint, const RequestContext& ctx) const;
+
+  /// Stage 3 on freshly computed (or joined) artifacts, under the current
+  /// calibration snapshot; a failed run passes its status through.
+  StatusOr<Prediction> Combine(const StatusOr<Artifacts>& artifacts) const;
 
   /// Serves a prediction from a resident entry through its epoch memo:
   /// if the memoized stage-3 result matches the current calibration
   /// epoch, zero combination work runs; otherwise the entry re-combines
   /// under the current snapshot and republishes the memo (counted in
   /// stats().recombines when a stale memo existed — i.e. on the first hit
-  /// after a calibration swap). Does NOT classify the request — callers
-  /// already did.
+  /// after a calibration swap). Does NOT classify the request.
   Prediction CombineCached(const EntryPtr& entry);
 
   /// Locked cache probe by fingerprint only (no identity confirmation) —
@@ -679,40 +670,10 @@ class PredictionService {
                                          uint64_t fingerprint);
   void ReleasePlan(const std::string& key, uint64_t fingerprint);
 
-  /// Single-plan prediction on the calling thread: lock-free hit → memoed
-  /// combine; locked hit → memoed combine; in-flight duplicate → wait on
-  /// the winner's future, bounded by the deadline (a timed-out joiner
-  /// detaches: the shared_future is simply abandoned, the winner
-  /// completes and caches normally); miss → breaker admission, then run
-  /// the stages. Records the request's resolution cell exactly once.
-  StatusOr<Prediction> PredictImpl(const Plan& plan, const RequestContext& ctx);
-
-  /// Non-blocking stage-1/2 fetch for one batch group (see GroupFetch).
-  /// Classification is deferred to the batch's stage-3 fan-out.
-  GroupFetch FetchForBatch(const Plan& plan, uint64_t fingerprint,
-                           const IdentityPtr& identity,
-                           const RequestContext& ctx);
-
-  /// Body of one pool-executed PredictAsync: cache hit → finish inline;
-  /// in-flight duplicate → park the continuation and return the worker;
-  /// miss → run the stages and drain every parked continuation.
-  void RunAsyncRequest(const std::shared_ptr<AsyncRequest>& req);
-
-  /// Finishes one async request from shared artifacts (stage 3), releasing
-  /// its registry reference before the promise fires so a caller that saw
-  /// the future complete also sees the registry drained. A failed result
-  /// converts to a degraded fallback when the request opted in; records
-  /// the request's resolution cell ([hit][outcome]) exactly once.
-  void FulfillAsync(AsyncRequest& req, const StatusOr<Artifacts>& artifacts,
-                    bool hit);
-  /// Same, but served from a resident entry (goes through the epoch memo).
-  void FulfillAsyncFromEntry(AsyncRequest& req, const EntryPtr& entry,
-                             bool lock_free);
-
   /// Publishes a finished stage-1/2 run: removes the in-flight entry,
-  /// inserts into the cache (unless the generation moved), completes the
-  /// in-flight promise for blocking sync joiners, and drains the parked
-  /// async continuations. `owned` may be null (collision solo run).
+  /// inserts into the cache (unless the generation moved), and resolves
+  /// every parked joiner with the run's result. `owned` may be null
+  /// (collision solo run).
   void CompleteRun(const std::shared_ptr<Inflight>& owned, uint64_t fingerprint,
                    const IdentityPtr& identity, uint64_t generation,
                    const StatusOr<Artifacts>& result);
@@ -725,35 +686,32 @@ class PredictionService {
   StatusOr<Artifacts> RunStages(const Plan& plan, uint64_t fingerprint,
                                 const RequestContext& ctx);
 
-  /// The single resolution point of a request: bumps exactly one cell of
-  /// the stripe's [hit][outcome] matrix (every stats invariant is a sum
-  /// over those cells).
+  /// Bumps exactly one cell of the stripe's [hit][outcome] matrix (every
+  /// stats invariant is a sum over those cells).
   void RecordOutcome(uint64_t fingerprint, bool hit, Outcome outcome,
                      bool lock_free = false);
 
-  /// The Outcome a non-OK terminal status maps to.
-  static Outcome OutcomeFor(const Status& status) {
-    return status.code() == StatusCode::kDeadlineExceeded ? Outcome::kDeadline
-                                                          : Outcome::kFailed;
+  /// The Outcome a terminal result maps to.
+  static Outcome OutcomeOf(const StatusOr<Prediction>& result) {
+    if (result.ok()) return result->degraded ? Outcome::kDegraded : Outcome::kOk;
+    return result.status().code() == StatusCode::kDeadlineExceeded
+               ? Outcome::kDeadline
+               : Outcome::kFailed;
   }
 
   /// Cost-only degraded fallback (Prediction::degraded == true): mean =
   /// OptimizerScalarCost * DegradedOptions::cost_scale_ms; sigma inflated
   /// from the family's windowed feedback error (or the configured default
   /// when the family has no history). Carries NO stage-1/2 artifacts.
-  Prediction MakeDegradedFromCost(uint64_t fingerprint, double scalar_cost);
-  Prediction MakeDegraded(uint64_t fingerprint, const Plan& plan);
+  Prediction MakeDegraded(uint64_t fingerprint, double scalar_cost);
 
-  /// Shared tail of every owner (miss) path: breaker admission, stage
-  /// run, breaker verdict, CompleteRun. On a shed, the in-flight entry is
-  /// completed with the quarantine status so joiners/waiters resolve too.
-  StatusOr<Artifacts> RunOwnedStages(const Plan& plan, uint64_t fingerprint,
-                                     const IdentityPtr& identity,
-                                     const Lookup& lk,
-                                     const RequestContext& ctx);
+  /// The owner's step of the state machine: breaker admission, stage run,
+  /// breaker verdict, CompleteRun. On a shed, the in-flight entry is
+  /// completed with the quarantine status so its joiners resolve too.
+  StatusOr<Artifacts> RunOwnedStages(const Request& req, const Lookup& lk);
 
   /// Injected spurious wakeup after a pool enqueue (test seam): an extra
-  /// NotifyAll with nothing new to do, exercising the explicit predicate
+  /// wake-all with nothing new to do, exercising the explicit predicate
   /// loops around every CondVar wait.
   void MaybeSpuriousWakeup();
 
@@ -765,34 +723,22 @@ class PredictionService {
                       const IdentityPtr& identity, Artifacts artifacts,
                       uint64_t generation) UQP_REQUIRES(shard.mu);
 
+  /// Shared tail of both feedback entry points: counts the report, drops
+  /// a non-positive observation, runs the family's Observe with
+  /// `error_fn`, and acts on its verdict.
+  void Report(uint64_t fingerprint, double observed_ms,
+              const FeedbackRegistry::ErrorFn& error_fn);
+
   /// Drift handler: at most one caller per cooldown re-derives the cost
   /// units (FeedbackOptions::recalibrate, run outside every lock) and
   /// publishes them as the next epoch. No-op in detect-only mode.
   void HandleDrift(uint64_t fingerprint);
 
-  /// Runs `fn(i)` for i in [0, n) across the worker pool, the calling
-  /// thread included; returns when all indexes are done.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  void WorkerLoop();
-
-  /// Adapter handing the worker pool to the executor as a TaskRunner, so
-  /// intra-plan shard tasks and plan-level prediction tasks share one set
-  /// of threads (see ServiceOptions::num_workers).
-  class PoolRunner : public TaskRunner {
-   public:
-    explicit PoolRunner(PredictionService* service) : service_(service) {}
-    void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) override {
-      service_->ParallelFor(static_cast<size_t>(n), [&fn](size_t i) {
-        fn(static_cast<int64_t>(i));
-      });
-    }
-
-   private:
-    PredictionService* service_;
-  };
-
-  PoolRunner pool_runner_{this};  ///< must outlive (so precede) pipeline_
+  /// The worker pool: Submit serves PredictAsync requests in FIFO order,
+  /// RunTasks shards PredictBatch groups and (through the pipeline's
+  /// TaskRunner) intra-plan stage-1 work, so both share one set of
+  /// threads. Declared first: it must outlive pipeline_.
+  MorselPool runner_;
   PredictionPipeline pipeline_;
   ServiceOptions options_;
   /// The database the pipeline predicts against, kept for the degraded
@@ -857,19 +803,6 @@ class PredictionService {
     return registry_shards_[static_cast<size_t>(fingerprint) & shard_mask_];
   }
   mutable std::unique_ptr<RegistryShard[]> registry_shards_;
-
-  // ----- worker pool -----
-  Mutex pool_mu_;
-  CondVar pool_cv_;
-  /// Written only by the constructor, joined by Shutdown; never otherwise
-  /// mutated, so concurrent readers (ParallelFor, num_workers) race with
-  /// nothing and no capability is needed.
-  std::vector<std::thread> workers_;
-  /// FIFO: workers pop the front, enqueuers push the back, so the oldest
-  /// PredictAsync request is always served next (no starvation under
-  /// sustained load).
-  std::deque<std::function<void()>> pool_queue_ UQP_GUARDED_BY(pool_mu_);
-  bool shutdown_ UQP_GUARDED_BY(pool_mu_) = false;
 };
 
 }  // namespace uqp

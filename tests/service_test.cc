@@ -853,13 +853,12 @@ TEST_F(ServiceTest, ShutdownRacingAsyncLeavesNoUnsatisfiedFuture) {
   }
 }
 
-// Regression pin for the one remaining blocking join path: a PredictBatch
-// shard whose plan is already being sampled by ANOTHER request joins that
-// run by blocking in future::get() (unlike async losers, which park
-// continuations and free their worker). Pinned here — batch completion
-// gated on the winner, counted as an in-flight join, results
-// bit-identical — so a future continuation rework of the batch path has
-// the current contract to preserve.
+// A PredictBatch group whose plan is already being sampled by ANOTHER
+// request parks on that run like any joiner, freeing its worker; the
+// batch's calling thread then waits on the group's own future, so the
+// batch still returns only once the winner finishes. Pinned here — batch
+// completion gated on the winner, counted as an in-flight join, results
+// bit-identical.
 TEST_F(ServiceTest, BatchShardJoiningInflightRunBlocksUntilWinnerFinishes) {
   ServiceOptions options;
   options.num_workers = 2;
@@ -1651,6 +1650,176 @@ TEST_F(ServiceTest, DeadlineExpiresWithoutPoisoningCacheOrInflight) {
   st = service.stats();
   EXPECT_EQ(st.cache_hits, 1u);
   EXPECT_EQ(st.deadline_exceeded, 1u);
+  ExpectOutcomeConservation(st);
+}
+
+TEST_F(ServiceTest, DeadlineWaiterAndWinnerDrainResolveExactlyOnce) {
+  // A parked sync request and a parked batch group, each with a short
+  // deadline, race their own timeout against the gated winner's drain,
+  // which is released around the deadline. Whichever side claims a request
+  // resolves it; the other must record nothing. Every round, `predictions`
+  // grows by exactly the number of requests, the returned results match
+  // the recorded outcome cells, and both conservation sums hold.
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.cache_capacity = 0;  // every round's winner is a fresh miss
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[0];
+  RequestOptions tight;
+  tight.deadline_ms = 2.0;
+  constexpr int kRounds = 50;
+  constexpr uint64_t kRequests = 4;  // winner + sync + two batch slots
+
+  for (int round = 0; round < kRounds; ++round) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      gated = false;
+      release = false;
+    }
+    const ServiceStats before = service.stats();
+    auto winner = service.PredictAsync(plan);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return gated; });
+    }
+    StatusOr<Prediction> sync_result = Status::Internal("unset");
+    std::vector<StatusOr<Prediction>> batch_results;
+    std::thread sync_thread([&] { sync_result = service.Predict(plan, tight); });
+    std::thread batch_thread([&] {
+      const std::vector<const Plan*> batch = {&plan, &plan};
+      batch_results = service.PredictBatch(batch, tight);
+    });
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service.stats().inflight_joins < before.inflight_joins + 2 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(service.stats().inflight_joins, before.inflight_joins + 2);
+    // Release before, around, or after the deadline, in 0.1ms steps.
+    std::this_thread::sleep_for(std::chrono::microseconds(1000 + 100 * (round % 20)));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+      cv.notify_all();
+    }
+    sync_thread.join();
+    batch_thread.join();
+    ASSERT_TRUE(winner.get().ok());
+
+    std::vector<StatusOr<Prediction>> joined = batch_results;
+    joined.push_back(sync_result);
+    uint64_t ok = 1;  // the winner
+    uint64_t expired = 0;
+    for (const auto& r : joined) {
+      if (r.ok()) {
+        EXPECT_FALSE(r->degraded);
+        ++ok;
+      } else {
+        EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+            << r.status().ToString();
+        ++expired;
+      }
+    }
+    EXPECT_EQ(batch_results[0].ok(), batch_results[1].ok())
+        << "a duplicate slot must copy its group's result";
+    const ServiceStats after = service.stats();
+    ASSERT_EQ(after.predictions - before.predictions, kRequests)
+        << "round " << round << ": a request was resolved twice or never";
+    EXPECT_EQ(after.ok_served - before.ok_served, ok) << "round " << round;
+    EXPECT_EQ(after.deadline_exceeded - before.deadline_exceeded, expired)
+        << "round " << round;
+    ExpectOutcomeConservation(after);
+  }
+}
+
+TEST_F(ServiceTest, BatchPastDeadlineDegradesEverySlotWithoutPoisoning) {
+  // A batch whose only group joins a gated winner detaches at its deadline
+  // and, with allow_degraded, serves the cost-only fallback in EVERY slot —
+  // the in-batch duplicate included. The winner then completes and caches
+  // normally: neither the cache nor the in-flight table keeps any trace of
+  // the detached group.
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gated = false;
+  bool release = false;
+  std::atomic<int> hook_calls{0};
+  options.post_stages_hook = [&] {
+    if (hook_calls.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      gated = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[0];
+
+  auto winner = service.PredictAsync(plan);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+  RequestOptions opts;
+  opts.deadline_ms = 20.0;
+  opts.allow_degraded = true;
+  const std::vector<const Plan*> batch = {&plan, &plan};
+  // The gate stays closed until the batch returns: only the deadline can
+  // end its wait.
+  const auto results = service.PredictBatch(batch, opts);
+  ASSERT_EQ(results.size(), 2u);
+  const double scalar = OptimizerScalarCost(plan, *db_);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "slot " << i << ": "
+                                 << results[i].status().ToString();
+    EXPECT_TRUE(results[i]->degraded) << "slot " << i;
+    EXPECT_DOUBLE_EQ(results[i]->mean(), scalar * options.degraded.cost_scale_ms)
+        << "slot " << i;
+    EXPECT_EQ(results[i]->sample_run, nullptr) << "slot " << i;
+  }
+  ServiceStats st = service.stats();
+  EXPECT_EQ(st.degraded_served, 2u);
+  EXPECT_EQ(st.cache_hits, 2u) << "a joined group and its duplicate are hits";
+  EXPECT_EQ(st.inflight_joins, 1u);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  auto winner_result = winner.get();
+  ASSERT_TRUE(winner_result.ok()) << winner_result.status().ToString();
+  EXPECT_FALSE(winner_result->degraded);
+
+  // The cache holds the winner's real artifacts: a plain request is a
+  // non-degraded hit, bit-identical to the winner.
+  EXPECT_EQ(service.cache_size(), 1u);
+  auto hit = service.Predict(plan);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(hit->degraded);
+  EXPECT_EQ(hit->mean(), winner_result->mean());
+  EXPECT_EQ(hit->sample_run.get(), winner_result->sample_run.get());
+  // No stale in-flight record: after a flush, the next request owns a
+  // fresh run instead of parking on a finished one.
+  service.InvalidateCache();
+  auto fresh = service.Predict(plan);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->mean(), winner_result->mean());
+  st = service.stats();
+  EXPECT_EQ(st.sample_runs, 2u);
+  EXPECT_EQ(st.inflight_joins, 1u);
+  EXPECT_EQ(st.degraded_served, 2u);
   ExpectOutcomeConservation(st);
 }
 
