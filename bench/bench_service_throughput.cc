@@ -1,6 +1,6 @@
 // Service-layer throughput: single sequential predictions (the seed's
-// monolithic Predictor path, one sample run per call) versus the staged
-// PredictionService with batched execution, fingerprint dedup and
+// monolithic PredictionPipeline path, one sample run per call) versus the
+// staged PredictionService with batched execution, fingerprint dedup and
 // sample-run caching.
 //
 // The workload models a multi-user admission path: a stream of queries in
@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -173,7 +173,7 @@ int main() {
   // One full pipeline run (sample + fit + combine) per prediction.
   double seq_ms = 0.0;
   {
-    Predictor predictor(&db, &samples, units);
+    PredictionPipeline predictor(&db, &samples, units);
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       for (const Plan* p : stream) {
@@ -391,7 +391,7 @@ int main() {
       auto plan_or = OptimizePlan(std::move(q.logical), heavy_db);
       if (plan_or.ok()) heavy_plans.push_back(std::move(plan_or).value());
     }
-    Predictor sequential(&heavy_db, &heavy_samples, units);
+    PredictionPipeline sequential(&heavy_db, &heavy_samples, units);
     size_t heaviest = 0;
     double worst_ms = -1.0;
     for (size_t i = 0; i < heavy_plans.size(); ++i) {
@@ -462,7 +462,7 @@ int main() {
       std::fprintf(stderr, "sort/agg plan failed to finalize\n");
       return 1;
     }
-    Predictor sequential(&heavy_db, &heavy_samples, units);
+    PredictionPipeline sequential(&heavy_db, &heavy_samples, units);
     MorselPool pool(4);
     PredictorOptions par_opts;
     par_opts.num_threads = 4;
@@ -517,7 +517,7 @@ int main() {
     std::vector<const Plan*> pool;
     pool.reserve(distinct.size());
     for (const Plan& p : distinct) pool.push_back(&p);
-    Predictor reference(&db, &samples, units);
+    PredictionPipeline reference(&db, &samples, units);
     std::vector<Prediction> expected;
     expected.reserve(pool.size());
     for (const Plan* p : pool) {
@@ -662,7 +662,7 @@ int main() {
     std::vector<const Plan*> ds_plans;
     std::vector<const ExecResult*> execs;
     {
-      Predictor screen(&db, &samples, units);
+      PredictionPipeline screen(&db, &samples, units);
       std::vector<std::pair<double, size_t>> by_bias;
       for (size_t i = 0; i < distinct.size(); ++i) {
         auto p = screen.Predict(distinct[i]);

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -42,7 +42,7 @@ int main() {
   if (!plan_or.ok()) return 1;
   const Plan plan = std::move(plan_or).value();
 
-  Predictor predictor(&db, &samples, units);
+  PredictionPipeline predictor(&db, &samples, units);
   auto pred_or = predictor.Predict(plan);
   Executor executor(&db);
   auto full_or = executor.Execute(plan, ExecOptions{});

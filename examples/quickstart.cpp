@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "core/explain.h"
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -54,7 +54,7 @@ int main() {
   std::printf("\nphysical plan:\n%s", plan.ToString().c_str());
 
   // 5. Predict the distribution of likely running times.
-  Predictor predictor(&db, &samples, units);
+  PredictionPipeline predictor(&db, &samples, units);
   auto pred_or = predictor.Predict(plan);
   if (!pred_or.ok()) {
     std::fprintf(stderr, "prediction failed: %s\n", pred_or.status().ToString().c_str());

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "engine/plan.h"
 
 namespace uqp {

@@ -21,7 +21,7 @@
 
 namespace uqp {
 
-/// Predictor configuration (shared by the facade and the pipeline).
+/// Predictor configuration.
 struct PredictorOptions {
   PredictorVariant variant = PredictorVariant::kAll;
   CovarianceBoundKind bound = CovarianceBoundKind::kBest;
@@ -224,8 +224,15 @@ class VarianceCombineStage {
   VarianceCombineOutput Run(const VarianceCombineInput& input) const;
 };
 
-/// The composed three-stage pipeline. `Predictor` is a thin facade over
-/// this; `PredictionService` drives the stages individually so it can cache
+/// The uncertainty-aware query execution time predictor (the paper's core
+/// contribution), composed of three stages:
+///   1. SampleRunStage — run the plan over the offline sample tables once,
+///      extracting every operator's selectivity distribution (Algs. 1-2),
+///   2. CostFitStage — fit the logical cost functions around the likely
+///      selectivity ranges (§4),
+///   3. VarianceCombineStage — combine with the calibrated cost-unit
+///      distributions into N(E[t_q], Var[t_q]) (§5, Algorithm 3).
+/// `PredictionService` drives the stages individually so it can cache
 /// stage 1 and shard stages 2-3 across workers.
 class PredictionPipeline {
  public:
@@ -234,7 +241,8 @@ class PredictionPipeline {
   /// so plan-level and intra-plan tasks share one set of threads. The
   /// construction-time units become calibration epoch 1 ("offline").
   PredictionPipeline(const Database* db, const SampleDb* samples,
-                     CostUnits units, PredictorOptions options,
+                     CostUnits units,
+                     PredictorOptions options = PredictorOptions(),
                      TaskRunner* task_runner = nullptr)
       : PredictionPipeline(db, samples,
                            MakeCalibrationSnapshot(units, 1, "offline"),

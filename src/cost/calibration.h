@@ -51,8 +51,8 @@ class Calibrator {
   /// calibration queries while `concurrency` queries share the machine,
   /// so the fitted N(mu, sigma^2) per unit absorbs the interference —
   /// "viewing the interference between queries as changing the
-  /// distribution of the c's". Feed the result to a Predictor to predict
-  /// running times at that multiprogramming level.
+  /// distribution of the c's". Feed the result to a PredictionPipeline to
+  /// predict running times at that multiprogramming level.
   CalibrationReport CalibrateWithReportAt(
       int concurrency, const CalibrationOptions& options = CalibrationOptions());
 

@@ -139,112 +139,4 @@ std::string ScheduledFaultInjector::FiredLogBytes() const {
   return bytes;
 }
 
-const char* ToString(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-
-BreakerDecision CircuitBreakerRegistry::Admit(uint64_t fingerprint) {
-  BreakerDecision decision;
-  if (!enabled()) return decision;
-  Shard& shard = ShardFor(fingerprint);
-  MutexLock lock(&shard.mu);
-  const auto it = shard.families.find(fingerprint);
-  if (it == shard.families.end()) return decision;  // never failed: admit
-  FamilyState& f = it->second;
-  switch (f.state) {
-    case BreakerState::kClosed:
-      return decision;
-    case BreakerState::kOpen:
-      ++f.sheds_since_open;
-      if (f.sheds_since_open >= options_.cooldown_requests &&
-          !f.probe_inflight) {
-        f.state = BreakerState::kHalfOpen;
-        f.probe_inflight = true;
-        total_probes_.fetch_add(1, std::memory_order_relaxed);
-        decision.probe = true;
-        return decision;
-      }
-      ++f.shed;
-      total_shed_.fetch_add(1, std::memory_order_relaxed);
-      decision.shed = true;
-      return decision;
-    case BreakerState::kHalfOpen:
-      // A probe is in flight (half-open always has one); everyone else
-      // keeps shedding until its verdict lands.
-      ++f.shed;
-      total_shed_.fetch_add(1, std::memory_order_relaxed);
-      decision.shed = true;
-      return decision;
-  }
-  return decision;
-}
-
-bool CircuitBreakerRegistry::OnStageResult(uint64_t fingerprint, bool ok) {
-  if (!enabled()) return false;
-  Shard& shard = ShardFor(fingerprint);
-  MutexLock lock(&shard.mu);
-  FamilyState& f = shard.families[fingerprint];
-  if (ok) {
-    f.state = BreakerState::kClosed;
-    f.consecutive_failures = 0;
-    f.sheds_since_open = 0;
-    f.probe_inflight = false;
-    return false;
-  }
-  ++f.consecutive_failures;
-  const bool was_half_open = f.state == BreakerState::kHalfOpen;
-  f.probe_inflight = false;
-  if (was_half_open ||
-      (f.state == BreakerState::kClosed &&
-       f.consecutive_failures >= options_.failure_threshold)) {
-    f.state = BreakerState::kOpen;
-    f.sheds_since_open = 0;
-    ++f.opens;
-    total_opens_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-std::vector<BreakerSnapshot> CircuitBreakerRegistry::Snapshot() const {
-  std::vector<BreakerSnapshot> rows;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(&shard.mu);
-    for (auto it = shard.families.begin();  // det-lint: sorted-output
-         it != shard.families.end(); ++it) {
-      BreakerSnapshot row;
-      row.fingerprint = it->first;
-      row.state = it->second.state;
-      row.consecutive_failures = it->second.consecutive_failures;
-      row.opens = it->second.opens;
-      row.shed = it->second.shed;
-      rows.push_back(row);
-    }
-  }
-  std::sort(rows.begin(), rows.end(),  // det-lint: sorted-output
-            [](const BreakerSnapshot& a, const BreakerSnapshot& b) {
-              return a.fingerprint < b.fingerprint;
-            });
-  return rows;
-}
-
-BreakerSnapshot CircuitBreakerRegistry::Family(uint64_t fingerprint) const {
-  BreakerSnapshot row;
-  row.fingerprint = fingerprint;
-  const Shard& shard = ShardFor(fingerprint);
-  MutexLock lock(&shard.mu);
-  const auto it = shard.families.find(fingerprint);
-  if (it == shard.families.end()) return row;
-  row.state = it->second.state;
-  row.consecutive_failures = it->second.consecutive_failures;
-  row.opens = it->second.opens;
-  row.shed = it->second.shed;
-  return row;
-}
-
 }  // namespace uqp

@@ -6,36 +6,35 @@
 
 namespace uqp {
 
-namespace {
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+const char* ToString(BreakerState state) {
+  switch (state) {
+    case BreakerState::kClosed: return "closed";
+    case BreakerState::kOpen: return "open";
+    case BreakerState::kHalfOpen: return "half_open";
+  }
+  return "?";
 }
 
-}  // namespace
+FamilyRegistry::FamilyRegistry(FeedbackOptions feedback,
+                               BreakerOptions breaker, size_t shard_count)
+    : feedback_(std::move(feedback)),
+      breaker_(breaker),
+      shards_(shard_count),
+      mask_(shard_count - 1) {}
 
-FeedbackRegistry::FeedbackRegistry(FeedbackOptions options, size_t shard_count)
-    : options_(std::move(options)) {
-  shard_count_ = RoundUpPow2(std::max<size_t>(1, shard_count));
-  mask_ = shard_count_ - 1;
-  shards_.reset(new Shard[shard_count_]);
-}
-
-void FeedbackRegistry::Push(Family* family, double error) const {
-  if (family->window.size() != options_.window_size) {
-    family->window.assign(options_.window_size, 0.0);
+void FamilyRegistry::Push(Family* family, double error) const {
+  if (family->window.size() != feedback_.window_size) {
+    family->window.assign(feedback_.window_size, 0.0);
     family->next = 0;
     family->filled = 0;
   }
   family->window[family->next] = error;
-  family->next = (family->next + 1) % options_.window_size;
-  family->filled = std::min(family->filled + 1, options_.window_size);
+  family->next = (family->next + 1) % feedback_.window_size;
+  family->filled = std::min(family->filled + 1, feedback_.window_size);
   ++family->window_updates;
 }
 
-double FeedbackRegistry::WindowMeanAbs(const Family& family) const {
+double FamilyRegistry::WindowMeanAbs(const Family& family) const {
   if (family.filled == 0) return 0.0;
   double sum = 0.0;
   for (size_t i = 0; i < family.filled; ++i) {
@@ -44,9 +43,9 @@ double FeedbackRegistry::WindowMeanAbs(const Family& family) const {
   return sum / static_cast<double>(family.filled);
 }
 
-FeedbackRegistry::Action FeedbackRegistry::Observe(uint64_t fingerprint,
-                                                   const ErrorFn& error_fn) {
-  if (!enabled()) return Action::kDisabled;
+FamilyRegistry::Action FamilyRegistry::Observe(uint64_t fingerprint,
+                                               const ErrorFn& error_fn) {
+  if (!feedback_enabled()) return Action::kDisabled;
   total_reports_.fetch_add(1, std::memory_order_relaxed);
 
   Shard& shard = ShardFor(fingerprint);
@@ -57,13 +56,13 @@ FeedbackRegistry::Action FeedbackRegistry::Observe(uint64_t fingerprint,
   if (family.converged) {
     // Converged families skip the combine and the window update entirely;
     // only every probe_interval-th report pays for one error computation.
-    if (options_.probe_interval == 0 ||
-        family.reports % options_.probe_interval != 0) {
+    if (feedback_.probe_interval == 0 ||
+        family.reports % feedback_.probe_interval != 0) {
       return Action::kSkippedConverged;
     }
     double error = 0.0;
     if (!error_fn(&family.stash, &error)) return Action::kDropped;
-    if (std::abs(error) < options_.drift_threshold) return Action::kProbed;
+    if (std::abs(error) < feedback_.drift_threshold) return Action::kProbed;
     // The probe blew past the drift threshold: the world moved while we
     // weren't watching. Resume tracking with a fresh window.
     family.converged = false;
@@ -75,22 +74,22 @@ FeedbackRegistry::Action FeedbackRegistry::Observe(uint64_t fingerprint,
   double error = 0.0;
   if (!error_fn(&family.stash, &error)) return Action::kDropped;
   Push(&family, error);
-  if (family.filled < options_.window_size) return Action::kTracked;
+  if (family.filled < feedback_.window_size) return Action::kTracked;
 
   const double mean_abs = WindowMeanAbs(family);
-  if (mean_abs <= options_.converge_threshold) {
+  if (mean_abs <= feedback_.converge_threshold) {
     family.converged = true;
     return Action::kConverged;
   }
-  if (mean_abs >= options_.drift_threshold) return Action::kDrift;
+  if (mean_abs >= feedback_.drift_threshold) return Action::kDrift;
   return Action::kTracked;
 }
 
-bool FeedbackRegistry::ClaimDrift() {
+bool FamilyRegistry::ClaimDrift() {
   MutexLock lock(&drift_mu_);
   const uint64_t total = total_reports_.load(std::memory_order_relaxed);
   if (any_claim_ &&
-      total - reports_at_last_claim_ < options_.cooldown_reports) {
+      total - reports_at_last_claim_ < feedback_.cooldown_reports) {
     return false;
   }
   any_claim_ = true;
@@ -98,9 +97,8 @@ bool FeedbackRegistry::ClaimDrift() {
   return true;
 }
 
-void FeedbackRegistry::OnPublish() {
-  for (size_t s = 0; s < shard_count_; ++s) {
-    Shard& shard = shards_[s];
+void FamilyRegistry::OnPublish() {
+  for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
     for (auto& kv : shard.families) {
       Family& family = kv.second;
@@ -114,20 +112,77 @@ void FeedbackRegistry::OnPublish() {
   }
 }
 
-size_t FeedbackRegistry::family_count() const {
+BreakerDecision FamilyRegistry::Admit(uint64_t fingerprint) {
+  BreakerDecision decision;
+  if (!breaker_enabled()) return decision;
+  Shard& shard = ShardFor(fingerprint);
+  MutexLock lock(&shard.mu);
+  const auto it = shard.families.find(fingerprint);
+  if (it == shard.families.end()) return decision;  // never failed: admit
+  Family& f = it->second;
+  switch (f.state) {
+    case BreakerState::kClosed:
+      return decision;
+    case BreakerState::kOpen:
+      ++f.sheds_since_open;
+      if (f.sheds_since_open >= breaker_.cooldown_requests &&
+          !f.probe_inflight) {
+        f.state = BreakerState::kHalfOpen;
+        f.probe_inflight = true;
+        decision.probe = true;
+        return decision;
+      }
+      break;
+    case BreakerState::kHalfOpen:
+      // A probe is in flight (half-open always has one); everyone else
+      // keeps shedding until its verdict lands.
+      break;
+  }
+  ++f.shed;
+  decision.shed = true;
+  return decision;
+}
+
+bool FamilyRegistry::OnStageResult(uint64_t fingerprint, bool ok) {
+  if (!breaker_enabled()) return false;
+  Shard& shard = ShardFor(fingerprint);
+  MutexLock lock(&shard.mu);
+  Family& f = shard.families[fingerprint];
+  if (ok) {
+    f.state = BreakerState::kClosed;
+    f.consecutive_failures = 0;
+    f.sheds_since_open = 0;
+    f.probe_inflight = false;
+    return false;
+  }
+  ++f.consecutive_failures;
+  const bool was_half_open = f.state == BreakerState::kHalfOpen;
+  f.probe_inflight = false;
+  if (was_half_open ||
+      (f.state == BreakerState::kClosed &&
+       f.consecutive_failures >= breaker_.failure_threshold)) {
+    f.state = BreakerState::kOpen;
+    f.sheds_since_open = 0;
+    ++f.opens;
+    return true;
+  }
+  return false;
+}
+
+size_t FamilyRegistry::family_count() const {
   size_t count = 0;
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const Shard& shard = shards_[s];
+  for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    count += shard.families.size();
+    for (const auto& kv : shard.families) {
+      if (kv.second.reports > 0) ++count;
+    }
   }
   return count;
 }
 
-size_t FeedbackRegistry::converged_count() const {
+size_t FamilyRegistry::converged_count() const {
   size_t count = 0;
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const Shard& shard = shards_[s];
+  for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
     for (const auto& kv : shard.families) {
       if (kv.second.converged) ++count;
@@ -136,9 +191,8 @@ size_t FeedbackRegistry::converged_count() const {
   return count;
 }
 
-bool FeedbackRegistry::WindowedError(uint64_t fingerprint,
-                                     double* error) const {
-  if (!enabled()) return false;
+bool FamilyRegistry::WindowedError(uint64_t fingerprint, double* error) const {
+  if (!feedback_enabled()) return false;
   Shard& shard = ShardFor(fingerprint);
   MutexLock lock(&shard.mu);
   const auto it = shard.families.find(fingerprint);
@@ -147,10 +201,9 @@ bool FeedbackRegistry::WindowedError(uint64_t fingerprint,
   return true;
 }
 
-std::vector<FamilyFeedback> FeedbackRegistry::Snapshot() const {
+std::vector<FamilyFeedback> FamilyRegistry::Snapshot() const {
   std::vector<FamilyFeedback> out;
-  for (size_t s = 0; s < shard_count_; ++s) {
-    const Shard& shard = shards_[s];
+  for (const Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
     for (const auto& kv : shard.families) {
       const Family& family = kv.second;
@@ -162,17 +215,21 @@ std::vector<FamilyFeedback> FeedbackRegistry::Snapshot() const {
       ff.window.reserve(family.filled);
       // Unroll the ring oldest-first.
       const size_t start =
-          family.filled < options_.window_size ? 0 : family.next;
+          family.filled < feedback_.window_size ? 0 : family.next;
       for (size_t i = 0; i < family.filled; ++i) {
         ff.window.push_back(
-            family.window[(start + i) % options_.window_size]);
+            family.window[(start + i) % feedback_.window_size]);
       }
       ff.windowed_mean_abs_error = WindowMeanAbs(family);
       ff.stash = family.stash;
+      ff.breaker_state = ToString(family.state);
+      ff.breaker_consecutive_failures = family.consecutive_failures;
+      ff.breaker_opens = family.opens;
+      ff.breaker_shed = family.shed;
       out.push_back(std::move(ff));
     }
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out.begin(), out.end(),  // det-lint: sorted-output
             [](const FamilyFeedback& a, const FamilyFeedback& b) {
               return a.fingerprint < b.fingerprint;
             });

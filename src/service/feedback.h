@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -20,7 +19,7 @@ namespace uqp {
 /// cost units when a family's windowed error diverges).
 struct FeedbackOptions {
   /// Master switch. When false, ReportObserved is a no-op and the service
-  /// keeps zero per-family state.
+  /// keeps no per-family feedback state.
   bool enabled = false;
   /// Relative-error window per plan family (ring buffer). The convergence
   /// and drift tests both require a full window, so decisions are made on
@@ -51,6 +50,34 @@ struct FeedbackOptions {
   std::function<CostUnits()> recalibrate;
 };
 
+/// Per-family circuit breaker: a family whose stage 1 keeps failing (a
+/// poisoned plan, a broken sample binding) sheds load instead of burning
+/// workers on doomed runs. Count-based — no clocks — so quarantine is
+/// deterministic: `failure_threshold` consecutive stage failures open the
+/// family; while open, requests shed (degraded/unavailable, stage 1
+/// untouched); after `cooldown_requests` sheds one probe runs half-open,
+/// and its success closes the breaker, its failure re-opens it.
+struct BreakerOptions {
+  /// Consecutive stage-1 failures before a family opens. 0 disables the
+  /// breaker entirely (every Admit admits).
+  int failure_threshold = 0;
+  /// Shed requests while open before the next half-open probe is allowed.
+  int cooldown_requests = 8;
+};
+
+enum class BreakerState { kClosed, kOpen, kHalfOpen };
+
+const char* ToString(BreakerState state);
+
+/// What the breaker decided for one incoming request.
+struct BreakerDecision {
+  /// Quarantined: do not run stage 1; resolve degraded or unavailable.
+  bool shed = false;
+  /// This request is the half-open probe: run stage 1; its result closes
+  /// or re-opens the family.
+  bool probe = false;
+};
+
 /// The family's last successfully computed prediction, kept so a report
 /// arriving after the plan was evicted from the artifact cache (or flushed
 /// by InvalidateCache) still yields an error instead of being dropped.
@@ -76,26 +103,28 @@ struct FamilyFeedback {
   double windowed_mean_abs_error = 0.0;
   /// Last-prediction stash (see PredictionStash).
   PredictionStash stash;
-  /// Circuit-breaker state for this family, merged in by the service's
-  /// FeedbackSnapshot() when a breaker registry is configured (the
-  /// FeedbackRegistry itself never touches breakers). "closed" with zero
-  /// counters when no breaker exists or the family never failed.
+  /// Circuit-breaker state for this family: "closed" with zero counters
+  /// when no breaker is configured or the family never failed.
   const char* breaker_state = "closed";
   int breaker_consecutive_failures = 0;
   uint64_t breaker_opens = 0;
   uint64_t breaker_shed = 0;
 };
 
-/// Sharded, thread-safe per-plan-family error tracking with deterministic
-/// convergence/drift decisions. Pure bookkeeping: the registry never
-/// computes predictions or publishes snapshots itself — the service wires
-/// those through Observe's lazy error callback and the Action it returns.
+/// The service's one record per plan family: the feedback loop's
+/// windowed error series and last-prediction stash, and the circuit
+/// breaker's state, side by side under one sharded, thread-safe table.
+/// Pure bookkeeping: the registry never computes predictions, publishes
+/// snapshots or counts service stats itself — the service wires those
+/// through Observe's lazy error callback and the Action, BreakerDecision
+/// and open verdict it gets back.
 ///
 /// Determinism contract: for a fixed sequence of (fingerprint, error)
 /// observations, the full state trajectory — window contents, convergence
 /// flips, drift decisions — is bit-identical regardless of how many
-/// threads the *predictions* used (extended parallel_parity_test).
-class FeedbackRegistry {
+/// threads the *predictions* used (extended parallel_parity_test); a fixed
+/// sequence of stage verdicts walks the breaker identically too.
+class FamilyRegistry {
  public:
   enum class Action {
     kDisabled,         ///< feedback off; nothing recorded
@@ -109,7 +138,9 @@ class FeedbackRegistry {
     kDrift,            ///< windowed error diverged; caller should recalibrate
   };
 
-  FeedbackRegistry(FeedbackOptions options, size_t shard_count);
+  /// `shard_count` must be a power of two (the service passes its own).
+  FamilyRegistry(FeedbackOptions feedback, BreakerOptions breaker,
+                 size_t shard_count);
 
   /// Computes the signed relative error of one observation, lazily. The
   /// callback receives the family's last-prediction stash: on a cache hit
@@ -137,25 +168,38 @@ class FeedbackRegistry {
   /// follow the new units automatically through lazy re-combination.
   void OnPublish();
 
-  const FeedbackOptions& options() const { return options_; }
-  bool enabled() const {
-    return options_.enabled && options_.window_size > 0;
+  /// Routes one incoming request for `fingerprint` through the breaker.
+  /// Never blocks on stage work; at most one probe is in flight per family.
+  BreakerDecision Admit(uint64_t fingerprint);
+
+  /// Reports a stage-1 outcome (including injected faults and deadline
+  /// cancellations — a run that could not complete is a failure). Returns
+  /// true iff this result OPENED the breaker (closed/half-open -> open).
+  bool OnStageResult(uint64_t fingerprint, bool ok);
+
+  bool feedback_enabled() const {
+    return feedback_.enabled && feedback_.window_size > 0;
   }
+  bool breaker_enabled() const { return breaker_.failure_threshold > 0; }
 
   uint64_t total_reports() const {
     return total_reports_.load(std::memory_order_relaxed);
   }
+  /// Families that received at least one report (breaker-only rows are
+  /// not feedback families).
   size_t family_count() const;
   size_t converged_count() const;
 
-  /// Full per-family state, sorted by fingerprint (deterministic order).
+  /// Full per-family state — every family the feedback loop or the
+  /// breaker touched, breaker-only ones with empty windows — sorted by
+  /// fingerprint (deterministic order).
   std::vector<FamilyFeedback> Snapshot() const;
 
   /// The family's current windowed mean |relative error|, if it has one.
-  /// Returns false (leaving *error untouched) when the registry is
-  /// disabled or the family has an empty window. The degraded-mode
-  /// predictor uses this to inflate its variance from the family's
-  /// observed error history.
+  /// Returns false (leaving *error untouched) when feedback is disabled
+  /// or the family has an empty window. The degraded-mode predictor uses
+  /// this to inflate its variance from the family's observed error
+  /// history.
   bool WindowedError(uint64_t fingerprint, double* error) const;
 
  private:
@@ -169,6 +213,13 @@ class FeedbackRegistry {
     /// Last successfully computed prediction (see PredictionStash): the
     /// fallback comparison point for evicted-but-reported plans.
     PredictionStash stash;
+    // Circuit breaker.
+    BreakerState state = BreakerState::kClosed;
+    int consecutive_failures = 0;
+    int sheds_since_open = 0;
+    bool probe_inflight = false;
+    uint64_t opens = 0;  ///< times this family transitioned to open
+    uint64_t shed = 0;   ///< requests this family shed while open
   };
   struct alignas(64) Shard {
     mutable Mutex mu;
@@ -181,10 +232,10 @@ class FeedbackRegistry {
   void Push(Family* family, double error) const;
   double WindowMeanAbs(const Family& family) const;
 
-  FeedbackOptions options_;
-  std::unique_ptr<Shard[]> shards_;
-  size_t shard_count_ = 0;
-  size_t mask_ = 0;
+  const FeedbackOptions feedback_;
+  const BreakerOptions breaker_;
+  mutable std::vector<Shard> shards_;
+  const size_t mask_;
 
   std::atomic<uint64_t> total_reports_{0};
   /// Guards the drift cooldown bookkeeping (claims + publish watermark).

@@ -28,6 +28,18 @@ int ResolveWorkers(int requested) {
   return static_cast<int>(std::min(4u, std::max(1u, hw)));
 }
 
+/// ServiceOptions::cache_shards resolved and rounded up to a power of two.
+/// 0 gives one shard per hardware thread — enough to make same-shard mutex
+/// collisions rare under a uniform fingerprint mix — capped at 64 so a
+/// huge machine doesn't fragment a small cache_capacity into nothing.
+size_t ResolveShards(int requested) {
+  if (requested <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    requested = static_cast<int>(std::min(64u, std::max(1u, hw)));
+  }
+  return RoundUpPow2(static_cast<size_t>(requested));
+}
+
 }  // namespace
 
 PredictionService::PredictionService(const Database* db, const SampleDb* samples,
@@ -36,22 +48,9 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
     : runner_(ResolveWorkers(options.num_workers) + 1),
       pipeline_(db, samples, units, options.predictor, &runner_),
       options_(std::move(options)),
-      db_(db) {
-  if (options_.breaker.failure_threshold > 0) {
-    breaker_.reset(new CircuitBreakerRegistry(options_.breaker));
-  }
-
-  int s = options_.cache_shards;
-  if (s <= 0) {
-    // One shard per hardware thread is enough to make same-shard mutex
-    // collisions rare under a uniform fingerprint mix; cap at 64 so a
-    // huge machine doesn't fragment a small cache_capacity into nothing.
-    const unsigned hw = std::thread::hardware_concurrency();
-    s = static_cast<int>(std::min(64u, std::max(1u, hw)));
-  }
-  const size_t shard_count = RoundUpPow2(static_cast<size_t>(s));
-  shard_storage_.reset(new Shard[shard_count]);
-  shards_ = ShardSpan{shard_storage_.get(), shard_count};
+      db_(db),
+      shards_(ResolveShards(options_.cache_shards)) {
+  const size_t shard_count = shards_.size();
   shard_mask_ = shard_count - 1;
   shard_bits_ = 0;
   while ((size_t{1} << shard_bits_) < shard_count) ++shard_bits_;
@@ -72,20 +71,17 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
       std::min<size_t>(4096, std::max<size_t>(16, 2 * shard_capacity_)));
   slot_mask_ = slot_count - 1;
   for (Shard& shard : shards_) shard.slots.resize(slot_count * kSlotWays);
-  stripes_storage_.reset(new StatsStripe[shard_count]);
-  stripes_ = stripes_storage_.get();
-  // The plan registry shards by the same fingerprint mask as the cache, so
-  // a cold async storm across distinct plans never serializes on one
-  // registry lock.
-  registry_shards_.reset(new RegistryShard[shard_count]);
 
-  if (options_.feedback.enabled && options_.feedback.window_size > 0) {
-    feedback_.reset(new FeedbackRegistry(options_.feedback, shard_count));
+  const bool feedback_on =
+      options_.feedback.enabled && options_.feedback.window_size > 0;
+  if (feedback_on || options_.breaker.failure_threshold > 0) {
+    families_.reset(
+        new FamilyRegistry(options_.feedback, options_.breaker, shard_count));
   }
 }
 
-// Queued requests touch the shards and stripes: drain the pool before any
-// member is destroyed.
+// Queued requests touch the shards: drain the pool before any member is
+// destroyed.
 PredictionService::~PredictionService() { Shutdown(); }
 
 uint64_t PredictionService::Fingerprint(const Plan& plan,
@@ -96,23 +92,23 @@ uint64_t PredictionService::Fingerprint(const Plan& plan,
 
 std::shared_ptr<const Plan> PredictionService::InternPlan(
     const Plan& plan, const std::string& key, uint64_t fingerprint) {
-  RegistryShard& shard = RegistryShardFor(fingerprint);
+  Shard& shard = ShardFor(fingerprint);
   {
     MutexLock lock(&shard.mu);
-    auto it = shard.plans.find(key);
-    if (it != shard.plans.end()) {
+    auto it = shard.registry.find(key);
+    if (it != shard.registry.end()) {
       ++it->second.refs;
       return it->second.plan;
     }
   }
   // Deep-copy outside the lock: the clone walks every node, schema and
-  // expression of the plan, and must not serialize unrelated submitters.
+  // expression of the plan, and must not stall the shard's lookups.
   auto clone = std::make_shared<const Plan>(plan.Clone());
   MutexLock lock(&shard.mu);
-  auto [it, inserted] = shard.plans.try_emplace(key);
+  auto [it, inserted] = shard.registry.try_emplace(key);
   if (inserted) {
     it->second.plan = std::move(clone);
-    StripeFor(fingerprint).plan_clones.fetch_add(1, std::memory_order_relaxed);
+    shard.stats.plan_clones.fetch_add(1, std::memory_order_relaxed);
   }
   // else: a concurrent submitter interned first — use its copy, drop ours.
   ++it->second.refs;
@@ -121,28 +117,26 @@ std::shared_ptr<const Plan> PredictionService::InternPlan(
 
 void PredictionService::ReleasePlan(const std::string& key,
                                     uint64_t fingerprint) {
-  RegistryShard& shard = RegistryShardFor(fingerprint);
+  Shard& shard = ShardFor(fingerprint);
   MutexLock lock(&shard.mu);
-  auto it = shard.plans.find(key);
-  if (it != shard.plans.end() && --it->second.refs == 0) {
-    shard.plans.erase(it);
+  auto it = shard.registry.find(key);
+  if (it != shard.registry.end() && --it->second.refs == 0) {
+    shard.registry.erase(it);
   }
 }
 
 size_t PredictionService::plan_registry_size() const {
   size_t total = 0;
-  const size_t n = shards_.size();  // registry shard count == cache shard count
-  for (size_t i = 0; i < n; ++i) {
-    RegistryShard& shard = registry_shards_[i];
+  for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    total += shard.plans.size();
+    total += shard.registry.size();
   }
   return total;
 }
 
 void PredictionService::RecordOutcome(uint64_t fingerprint, bool hit,
                                       Outcome outcome, bool lock_free) {
-  StatsStripe& stripe = StripeFor(fingerprint);
+  StatsStripe& stripe = ShardFor(fingerprint).stats;
   // Exactly one matrix cell moves per request, and every reported
   // aggregate (predictions, the hit/miss split, the outcome split) is a
   // sum over cells — neither invariant can tear. (inflight_joins is NOT
@@ -178,9 +172,9 @@ Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
   // when larger, then the whole sigma is inflated — a cost-only guess is
   // strictly less informed than the sampling pipeline it stands in for.
   double rel = dg.default_rel_error;
-  if (feedback_ != nullptr) {
+  if (families_ != nullptr) {
     double windowed = 0.0;
-    if (feedback_->WindowedError(fingerprint, &windowed)) {
+    if (families_->WindowedError(fingerprint, &windowed)) {
       rel = std::max(rel, windowed);
     }
   }
@@ -200,7 +194,7 @@ void PredictionService::MaybeSpuriousWakeup() {
   // through its predicate loop. Fires outside the pool mutex deliberately —
   // a naked notify is exactly the hostile shape the loops must absorb.
   runner_.WakeAll();
-  stripes_[0].spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
+  shards_[0].stats.spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
@@ -367,7 +361,7 @@ size_t PredictionService::cache_size() const {
 
 StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
     const Plan& plan, uint64_t fingerprint, const RequestContext& ctx) {
-  StatsStripe& stripe = StripeFor(fingerprint);
+  StatsStripe& stripe = ShardFor(fingerprint).stats;
   if (options_.fault_injector != nullptr) {
     const FaultDecision decision =
         options_.fault_injector->OnSampleRun(fingerprint);
@@ -422,9 +416,14 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
 StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
     const Request& req, const Lookup& lk) {
   const uint64_t fingerprint = req.fingerprint;
-  if (breaker_ != nullptr) {
-    const BreakerDecision admit = breaker_->Admit(fingerprint);
+  StatsStripe& stripe = ShardFor(fingerprint).stats;
+  if (families_ != nullptr) {
+    const BreakerDecision admit = families_->Admit(fingerprint);
+    if (admit.probe) {
+      stripe.breaker_probes.fetch_add(1, std::memory_order_relaxed);
+    }
     if (admit.shed) {
+      stripe.breaker_shed.fetch_add(1, std::memory_order_relaxed);
       // Quarantined: stage 1 is not consulted at all (the fault injector
       // included — a shed is invisible to the schedule's attempt count).
       // The in-flight entry this request registered still completes, so
@@ -440,10 +439,11 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
   }
   StatusOr<Artifacts> result = RunStages(*req.plan, fingerprint, req.ctx);
   if (options_.post_stages_hook) options_.post_stages_hook();
-  if (breaker_ != nullptr) {
-    // Injected faults and deadline cancellations count as failures: a run
-    // that could not complete is a failure from the family's viewpoint.
-    breaker_->OnStageResult(fingerprint, result.ok());
+  // Injected faults and deadline cancellations count as failures: a run
+  // that could not complete is a failure from the family's viewpoint.
+  if (families_ != nullptr &&
+      families_->OnStageResult(fingerprint, result.ok())) {
+    stripe.breaker_opens.fetch_add(1, std::memory_order_relaxed);
   }
   CompleteRun(lk.owned, fingerprint, req.identity, lk.generation, result);
   return result;
@@ -470,8 +470,8 @@ Prediction PredictionService::CombineCached(const EntryPtr& entry) {
     // served: this lazy per-entry re-combination is the entire
     // invalidation cost of a swap — the stage-1/2 artifacts above were
     // reused untouched.
-    StripeFor(entry->fingerprint)
-        .recombines.fetch_add(1, std::memory_order_relaxed);
+    ShardFor(entry->fingerprint)
+        .stats.recombines.fetch_add(1, std::memory_order_relaxed);
   }
   auto fresh = std::make_shared<CombineMemo>();
   fresh->epoch = snapshot->epoch;
@@ -525,8 +525,7 @@ void PredictionService::CompleteRun(const std::shared_ptr<Inflight>& owned,
       } else {
         // InvalidateCache ran while this prediction was in flight: its
         // artifacts may predate the flush, drop the insert.
-        StripeFor(fingerprint)
-            .stale_drops.fetch_add(1, std::memory_order_relaxed);
+        shard.stats.stale_drops.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -569,7 +568,7 @@ PredictionService::Lookup PredictionService::LookupArtifacts(
     // joiners are observable while it is still mid-stages.
     it->second->waiters.push_back(req);
     lk.parked = true;
-    StripeFor(fingerprint).inflight_joins.fetch_add(1, std::memory_order_relaxed);
+    shard.stats.inflight_joins.fetch_add(1, std::memory_order_relaxed);
   } else if (it == shard.inflight.end() && register_owned) {
     lk.owned = std::make_shared<Inflight>(req->identity);
     shard.inflight.emplace(fingerprint, lk.owned);
@@ -701,18 +700,10 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
     MaybeSpuriousWakeup();
     return future;
   }
-  if (options_.drain_on_shutdown) {
-    // Graceful drain: run the prediction inline on the calling thread.
-    // Degraded latency, identical result — and still fully raced
-    // correctly: an inline latecomer that finds another request's run in
-    // flight parks on it, and that winner resolves it like any joiner.
-    StripeFor(fingerprint).drained_inline.fetch_add(1, std::memory_order_relaxed);
-    Serve(req);
-    return future;
-  }
   // The pool is gone; enqueueing would leave the future unsatisfied
   // forever. Fail fast instead (a refused call is not a prediction).
-  StripeFor(fingerprint).async_rejects.fetch_add(1, std::memory_order_relaxed);
+  ShardFor(fingerprint).stats.async_rejects.fetch_add(
+      1, std::memory_order_relaxed);
   ReleasePlan(req->identity->key, fingerprint);
   req->owned_plan.reset();
   req->promise.set_value(Status::Unavailable("PredictionService is shut down"));
@@ -722,7 +713,7 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
 std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     const std::vector<const Plan*>& plans, const RequestOptions& opts) {
   const RequestContext ctx = MakeContext(opts);
-  stripes_[0].batch_calls.fetch_add(1, std::memory_order_relaxed);
+  shards_[0].stats.batch_calls.fetch_add(1, std::memory_order_relaxed);
   const size_t count = plans.size();
 
   // Dedup: plans sharing a fingerprint AND the canonical structure share
@@ -805,14 +796,14 @@ uint64_t PredictionService::PublishCalibration(CostUnits units,
   MutexLock lock(&calibration_mu_);
   const uint64_t epoch = pipeline_.calibration()->epoch + 1;
   const uint64_t reports =
-      feedback_ != nullptr ? feedback_->total_reports() : 0;
+      families_ != nullptr ? families_->total_reports() : 0;
   pipeline_.SetCalibration(MakeCalibrationSnapshot(std::move(units), epoch,
                                                    std::move(source), reports));
   // Deliberately NOT InvalidateCache: stage-1/2 artifacts are
   // unit-independent, so every cached entry survives the swap and only
   // its stage-3 memo went stale — the next hit re-combines lazily
   // (stats().recombines) instead of re-running the expensive stages.
-  if (feedback_ != nullptr) feedback_->OnPublish();
+  if (families_ != nullptr) families_->OnPublish();
   return epoch;
 }
 
@@ -844,8 +835,8 @@ void PredictionService::ReportObserved(uint64_t fingerprint,
            // The stash may predate the current calibration epoch; that
            // slack is bounded by one eviction-to-report gap and beats
            // dropping the report.
-           StripeFor(fingerprint)
-               .feedback_stash_hits.fetch_add(1, std::memory_order_relaxed);
+           ShardFor(fingerprint).stats.feedback_stash_hits.fetch_add(
+               1, std::memory_order_relaxed);
            *out = (observed_ms - stash->mean_ms) / observed_ms;
            return true;
          });
@@ -869,19 +860,19 @@ void PredictionService::ReportObservedAgainst(uint64_t fingerprint,
 }
 
 void PredictionService::Report(uint64_t fingerprint, double observed_ms,
-                               const FeedbackRegistry::ErrorFn& error_fn) {
-  if (feedback_ == nullptr) return;
-  StatsStripe& stripe = StripeFor(fingerprint);
+                               const FamilyRegistry::ErrorFn& error_fn) {
+  if (families_ == nullptr || !families_->feedback_enabled()) return;
+  StatsStripe& stripe = ShardFor(fingerprint).stats;
   stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
   if (!(observed_ms > 0.0)) {
     stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  switch (feedback_->Observe(fingerprint, error_fn)) {
-    case FeedbackRegistry::Action::kDropped:
+  switch (families_->Observe(fingerprint, error_fn)) {
+    case FamilyRegistry::Action::kDropped:
       stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
       break;
-    case FeedbackRegistry::Action::kDrift:
+    case FamilyRegistry::Action::kDrift:
       HandleDrift(fingerprint);
       break;
     default:
@@ -893,61 +884,27 @@ void PredictionService::HandleDrift(uint64_t fingerprint) {
   if (!options_.feedback.recalibrate) return;  // detect-only mode
   // At most one recalibration per cooldown window across all families:
   // one machine-wide drift makes many families scream at once.
-  if (!feedback_->ClaimDrift()) return;
+  if (!families_->ClaimDrift()) return;
   // Re-derive the units outside every service lock — calibration runs
   // real (harness) queries and must not stall the prediction hot path.
   CostUnits units = options_.feedback.recalibrate();
   PublishCalibration(std::move(units), "drift");
-  StripeFor(fingerprint).recalibrations.fetch_add(1, std::memory_order_relaxed);
+  ShardFor(fingerprint).stats.recalibrations.fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 std::vector<FamilyFeedback> PredictionService::FeedbackSnapshot() const {
-  std::vector<FamilyFeedback> rows =
-      feedback_ != nullptr ? feedback_->Snapshot() : std::vector<FamilyFeedback>();
-  if (breaker_ == nullptr) return rows;
-  // Merge breaker state into the feedback rows (both sorted by
-  // fingerprint); families the breaker touched but feedback never saw
-  // become rows of their own with empty windows.
-  const std::vector<BreakerSnapshot> breakers = breaker_->Snapshot();
-  size_t r = 0;
-  std::vector<FamilyFeedback> extra;
-  for (const BreakerSnapshot& b : breakers) {
-    while (r < rows.size() && rows[r].fingerprint < b.fingerprint) ++r;
-    FamilyFeedback* row;
-    if (r < rows.size() && rows[r].fingerprint == b.fingerprint) {
-      row = &rows[r];
-    } else {
-      extra.emplace_back();
-      extra.back().fingerprint = b.fingerprint;
-      row = &extra.back();
-    }
-    row->breaker_state = ToString(b.state);
-    row->breaker_consecutive_failures = b.consecutive_failures;
-    row->breaker_opens = b.opens;
-    row->breaker_shed = b.shed;
-  }
-  if (!extra.empty()) {
-    rows.insert(rows.end(), extra.begin(), extra.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const FamilyFeedback& a, const FamilyFeedback& b) {
-                return a.fingerprint < b.fingerprint;
-              });
-  }
-  return rows;
+  return families_ != nullptr ? families_->Snapshot()
+                              : std::vector<FamilyFeedback>();
 }
 
 ServiceStats PredictionService::stats() const {
-  // Sum the per-shard stripes. Each stripe's relaxed counters are
-  // monotone and each request touched exactly one resolution-matrix cell
-  // in exactly one stripe, so every reported aggregate — the hit/miss
-  // split, the outcome split, and `predictions` itself — is a sum over
-  // cells BY DEFINITION, which is what makes both conservation
-  // invariants hold at every observable instant instead of only at
-  // quiescence.
+  // Each request touched exactly one resolution-matrix cell in one stripe,
+  // so every aggregate below — `predictions` included — is a sum over
+  // cells by definition: both invariants hold at every instant.
   ServiceStats out;
-  const size_t n = shards_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const StatsStripe& s = stripes_[i];
+  for (const Shard& shard : shards_) {
+    const StatsStripe& s = shard.stats;
     for (size_t row = 0; row < 2; ++row) {
       for (size_t col = 0; col < kNumOutcomes; ++col) {
         const uint64_t v = s.outcome[row][col].load(std::memory_order_relaxed);
@@ -968,7 +925,6 @@ ServiceStats PredictionService::stats() const {
     out.stale_drops += s.stale_drops.load(std::memory_order_relaxed);
     out.plan_clones += s.plan_clones.load(std::memory_order_relaxed);
     out.async_rejects += s.async_rejects.load(std::memory_order_relaxed);
-    out.drained_inline += s.drained_inline.load(std::memory_order_relaxed);
     out.recombines += s.recombines.load(std::memory_order_relaxed);
     out.recalibrations += s.recalibrations.load(std::memory_order_relaxed);
     out.feedback_reports += s.feedback_reports.load(std::memory_order_relaxed);
@@ -978,16 +934,14 @@ ServiceStats PredictionService::stats() const {
     out.faults_injected += s.faults_injected.load(std::memory_order_relaxed);
     out.spurious_wakeups +=
         s.spurious_wakeups.load(std::memory_order_relaxed);
+    out.breaker_opens += s.breaker_opens.load(std::memory_order_relaxed);
+    out.breaker_shed += s.breaker_shed.load(std::memory_order_relaxed);
+    out.breaker_probes += s.breaker_probes.load(std::memory_order_relaxed);
   }
   out.predictions = out.cache_hits + out.cache_misses;
-  if (feedback_ != nullptr) {
-    out.converged_families = feedback_->converged_count();
-    out.feedback_families = feedback_->family_count();
-  }
-  if (breaker_ != nullptr) {
-    out.breaker_opens = breaker_->total_opens();
-    out.breaker_shed = breaker_->total_shed();
-    out.breaker_probes = breaker_->total_probes();
+  if (families_ != nullptr) {
+    out.converged_families = families_->converged_count();
+    out.feedback_families = families_->family_count();
   }
   return out;
 }

@@ -36,7 +36,7 @@ struct DegradedOptions {
   /// monotone in cost even uncalibrated.
   double cost_scale_ms = 1.0;
   /// Relative error assumed for a family with no feedback history. The
-  /// family's windowed mean |relative error| (FeedbackRegistry) replaces
+  /// family's windowed mean |relative error| (FamilyRegistry) replaces
   /// it when larger — a family we already know we mispredict gets a wider
   /// degraded interval.
   double default_rel_error = 0.5;
@@ -84,10 +84,10 @@ struct ServiceOptions {
   /// (ceil(capacity / shards) entries each), so a shard under churn
   /// evicts locally instead of taking a global lock.
   size_t cache_capacity = 256;
-  /// Number of independent cache/in-flight shards (rounded up to a power
-  /// of two). 0 sizes to the hardware concurrency, clamped to [1, 64].
-  /// 1 degenerates to the historical single-mutex layout — the bench's
-  /// contention baseline.
+  /// Number of independent shards — cache, in-flight table, plan registry
+  /// and stats stripe each — rounded up to a power of two. 0 sizes to the
+  /// hardware concurrency, clamped to [1, 64]. 1 degenerates to the
+  /// historical single-mutex layout — the bench's contention baseline.
   int cache_shards = 0;
   /// When true (default), cache entries are additionally published into a
   /// per-shard, 2-way tagged slot array read with
@@ -99,12 +99,6 @@ struct ServiceOptions {
   /// through the shard mutex (the pre-sharding behavior, kept as the
   /// bench baseline and a differential-testing seam).
   bool lock_free_hits = true;
-  /// When true, PredictAsync calls that arrive after Shutdown() run the
-  /// prediction inline on the calling thread (degraded latency, still
-  /// correct and bit-identical) instead of failing fast with
-  /// Status::Unavailable. Latecomers that find another request's run
-  /// still in flight park on it as usual and are drained by that winner.
-  bool drain_on_shutdown = false;
   /// Test seam: replaces PlanFingerprint as the cache/dedup hash when
   /// non-null. The structural-key confirmation still applies, so tests can
   /// force every plan onto one fingerprint to exercise collision handling.
@@ -172,8 +166,6 @@ struct ServiceStats {
   uint64_t plan_clones = 0;     ///< deep copies made by the async plan registry
                                 ///< (interned duplicates don't re-clone)
   uint64_t async_rejects = 0;   ///< PredictAsync calls refused after Shutdown
-  uint64_t drained_inline = 0;  ///< post-Shutdown PredictAsync calls served
-                                ///< inline by drain_on_shutdown
   // --- calibration-epoch lifecycle + feedback loop ---
   uint64_t recombines = 0;        ///< cached entries lazily re-combined after a
                                   ///< calibration swap invalidated their
@@ -210,14 +202,15 @@ struct ServiceStats {
 ///   - PredictBatch(plans): shards stage work across the worker pool.
 ///
 /// All paths cache per-plan stage artifacts keyed by plan fingerprint.
-/// The cache and the in-flight dedup table are sharded by fingerprint: N
-/// independent shards, each with its own mutex, entry map and recency
-/// ticks, so requests for different plans never serialize on a global
-/// lock. Within a shard, hot hits do not take the shard mutex either:
-/// resident entries are published as immutable shared_ptr bundles into a
-/// per-shard, 2-way tagged slot array read via std::atomic_load(acquire);
-/// recency is a relaxed per-entry tick (approximate LRU — eviction order
-/// is not part of the determinism contract). Each entry stores the plan's
+/// Per-fingerprint state lives in N shards, one record each holding the
+/// cache, the in-flight dedup table, the async plan registry and a stats
+/// stripe under one mutex, so requests for different plans never
+/// serialize on a global lock. Within a shard, hot hits do not take the
+/// shard mutex either: resident entries are published as immutable
+/// shared_ptr bundles into a per-shard, 2-way tagged slot array read via
+/// std::atomic_load(acquire); recency is a relaxed per-entry tick
+/// (approximate LRU — eviction order is not part of the determinism
+/// contract). Each entry stores the plan's
 /// interned canonical structural key (PlanIdentity, serialized once per
 /// distinct plan object and shared by reference), confirmed on every hit,
 /// so a 64-bit fingerprint collision degrades to a miss instead of
@@ -297,9 +290,9 @@ class PredictionService {
   /// work was paid by someone else, delivery is free.
   ///
   /// After Shutdown() the returned future is never left unsatisfied:
-  /// cache hits are still served inline; anything needing the pool is
-  /// either immediately ready with Status::Unavailable (default) or, with
-  /// drain_on_shutdown, predicted inline on the calling thread.
+  /// cache hits are still served inline, a plan already being sampled
+  /// still parks on that run, and anything needing the pool is
+  /// immediately ready with Status::Unavailable.
   std::future<StatusOr<Prediction>> PredictAsync(const Plan& plan,
                                                  const RequestOptions& opts = {});
 
@@ -375,26 +368,23 @@ class PredictionService {
   void ReportObservedAgainst(uint64_t fingerprint, const Prediction& as_decided,
                              double observed_ms);
 
-  /// Per-family feedback state (tests, benches, monitoring): window
-  /// contents, update counters, convergence flags — with the family's
-  /// circuit-breaker state merged in when a breaker is configured
-  /// (breaker-only families appear as rows with empty windows). Sorted by
-  /// fingerprint. Empty when both feedback and the breaker are disabled.
+  /// Per-family state (tests, benches, monitoring): window contents,
+  /// update counters, convergence flags and circuit-breaker state, one
+  /// row per family record (breaker-only families appear as rows with
+  /// empty windows). Sorted by fingerprint. Empty when both feedback and
+  /// the breaker are disabled.
   std::vector<FamilyFeedback> FeedbackSnapshot() const;
 
   /// Stops the worker pool: drains every task already enqueued (so every
   /// previously returned future is satisfied), joins the workers, and
-  /// makes later PredictAsync calls fail fast with Status::Unavailable
-  /// (or, with drain_on_shutdown, run inline on the caller) instead of
-  /// leaving their futures unsatisfied forever. Synchronous
-  /// Predict/PredictBatch keep working (inline on the calling thread).
-  /// Idempotent; called by the destructor.
+  /// makes later PredictAsync calls that need the pool fail fast with
+  /// Status::Unavailable instead of leaving their futures unsatisfied
+  /// forever. Synchronous Predict/PredictBatch keep working (inline on the
+  /// calling thread). Idempotent; called by the destructor.
   void Shutdown() { runner_.Shutdown(); }
 
-  /// Snapshot of the service counters, summed over the per-shard stripes.
-  /// Internally consistent: the hit/miss split always sums to
-  /// `predictions` (each stripe keeps its local split exact, and
-  /// `predictions` is their sum by definition).
+  /// Snapshot of the service counters, summed over the shards' stripes;
+  /// both conservation invariants hold in every snapshot.
   ServiceStats stats() const;
 
   /// Number of distinct fingerprints currently cached (summed over shards).
@@ -476,15 +466,12 @@ class PredictionService {
     explicit Inflight(IdentityPtr identity_in)
         : identity(std::move(identity_in)) {}
     IdentityPtr identity;  ///< structure of the plan being computed
-    /// Parked joiners, guarded by the owning shard's mutex — a capability
-    /// that is not a member of this struct, so the invariant is not
-    /// expressible as a GUARDED_BY annotation (thread-safety analysis can
-    /// only name capabilities reachable from the declaration). The
-    /// discipline is structural instead: `waiters` is only mutated while
-    /// this entry is reachable from the shard's in-flight map
-    /// (LookupArtifacts parks under shard.mu), and the completing thread
-    /// detaches the whole list under the same lock (CompleteRun), so no
-    /// joiner is ever lost.
+    /// Parked joiners, guarded by the owning shard's mutex — not reachable
+    /// from this declaration, so not expressible as GUARDED_BY. The
+    /// discipline is structural: joiners park under shard.mu while the
+    /// entry is in the shard's in-flight map (LookupArtifacts), and the
+    /// completing thread detaches the whole list under the same lock
+    /// (CompleteRun), so no joiner is ever lost.
     std::vector<RequestPtr> waiters;
   };
 
@@ -521,11 +508,11 @@ class PredictionService {
   };
   using EntryPtr = std::shared_ptr<const CacheEntry>;
 
-  /// Per-shard stats stripe: monotone relaxed atomics, padded to a cache
-  /// line so neighbouring stripes don't false-share. Neither
-  /// `predictions` nor the hit/miss/outcome splits are stored separately —
-  /// all are sums over the resolution matrix by definition, which is what
-  /// makes BOTH snapshot invariants un-tearable.
+  /// Per-shard stats stripe: monotone relaxed atomics on their own cache
+  /// line, clear of the shard's mutex and maps. Neither `predictions` nor
+  /// the hit/miss/outcome splits are stored separately — all are sums over
+  /// the resolution matrix by definition, which is what makes BOTH
+  /// snapshot invariants un-tearable.
   struct alignas(64) StatsStripe {
     /// The resolution matrix: [miss=0 / hit=1][Outcome]. Every request
     /// bumps exactly one cell, exactly once, at the moment its
@@ -539,7 +526,6 @@ class PredictionService {
     std::atomic<uint64_t> stale_drops{0};
     std::atomic<uint64_t> plan_clones{0};
     std::atomic<uint64_t> async_rejects{0};
-    std::atomic<uint64_t> drained_inline{0};
     std::atomic<uint64_t> recombines{0};
     std::atomic<uint64_t> recalibrations{0};
     std::atomic<uint64_t> feedback_reports{0};
@@ -547,32 +533,46 @@ class PredictionService {
     std::atomic<uint64_t> feedback_stash_hits{0};
     std::atomic<uint64_t> faults_injected{0};
     std::atomic<uint64_t> spurious_wakeups{0};
+    std::atomic<uint64_t> breaker_opens{0};
+    std::atomic<uint64_t> breaker_shed{0};
+    std::atomic<uint64_t> breaker_probes{0};
   };
 
-  /// One cache + in-flight shard. `slots` is the lock-free publication
-  /// layer: a fixed direct-mapped array of kSlotWays-way shared_ptr slot
-  /// groups accessed only through std::atomic_load/atomic_store — outside
-  /// the mutex capability model by design (the published-slot read path is
-  /// the one that must never take `mu`), so the slot protocol is covered
-  /// by TSan and the generation check rather than GUARDED_BY; `entries`
-  /// (under `mu`) is the authority for residency and capacity.
+  /// One interned plan clone held for outstanding async requests.
+  struct RegisteredPlan {
+    std::shared_ptr<const Plan> plan;
+    size_t refs = 0;
+  };
+
+  /// Everything the service keeps per fingerprint-mask slot: the cache,
+  /// the in-flight table, the plan registry and the stats stripe. `slots`
+  /// is the lock-free publication layer: a fixed direct-mapped array of
+  /// kSlotWays-way shared_ptr slot groups accessed only through
+  /// std::atomic_load/atomic_store — outside the mutex capability model by
+  /// design (the published-slot read path is the one that must never take
+  /// `mu`), so the slot protocol is covered by TSan and the generation
+  /// check rather than GUARDED_BY; `entries` (under `mu`) is the
+  /// authority for residency and capacity.
   struct alignas(64) Shard {
     mutable Mutex mu;
     std::unordered_map<uint64_t, EntryPtr> entries UQP_GUARDED_BY(mu);
     std::unordered_map<uint64_t, std::shared_ptr<Inflight>> inflight
+        UQP_GUARDED_BY(mu);
+    /// Plan clones owned for outstanding async requests, keyed by
+    /// canonical structural key: two plans colliding on a forced
+    /// fingerprint (test seam) still intern separately.
+    std::unordered_map<std::string, RegisteredPlan> registry
         UQP_GUARDED_BY(mu);
     /// Published entries; size is (power of two) * kSlotWays, fixed at
     /// construction. Never resized, so concurrent element access is safe.
     std::vector<EntryPtr> slots;
     /// Monotone recency ticket; fetch_add(relaxed) per hit.
     std::atomic<uint64_t> ticket{0};
+    StatsStripe stats;
   };
 
   Shard& ShardFor(uint64_t fingerprint) const {
     return shards_[static_cast<size_t>(fingerprint) & shard_mask_];
-  }
-  StatsStripe& StripeFor(uint64_t fingerprint) const {
-    return stripes_[static_cast<size_t>(fingerprint) & shard_mask_];
   }
   size_t SlotBase(uint64_t fingerprint) const {
     // The low bits picked the shard; the next bits pick the slot index;
@@ -663,8 +663,9 @@ class PredictionService {
       UQP_REQUIRES(shard.mu);
 
   /// Deep-copies (or reuses the already-interned copy of) `plan` into the
-  /// fingerprint's registry shard and takes a reference; every Intern must
-  /// be paired with one ReleasePlan(key, fingerprint).
+  /// fingerprint's shard registry and takes a reference; every Intern must
+  /// be paired with one ReleasePlan(key, fingerprint). Both take the
+  /// shard mutex, so neither may run under it.
   std::shared_ptr<const Plan> InternPlan(const Plan& plan,
                                          const std::string& key,
                                          uint64_t fingerprint);
@@ -727,7 +728,7 @@ class PredictionService {
   /// a non-positive observation, runs the family's Observe with
   /// `error_fn`, and acts on its verdict.
   void Report(uint64_t fingerprint, double observed_ms,
-              const FeedbackRegistry::ErrorFn& error_fn);
+              const FamilyRegistry::ErrorFn& error_fn);
 
   /// Drift handler: at most one caller per cooldown re-derives the cost
   /// units (FeedbackOptions::recalibrate, run outside every lock) and
@@ -745,22 +746,15 @@ class PredictionService {
   /// fallback's optimizer scalar cost (the pipeline owns its own copy of
   /// this pointer but does not expose it).
   const Database* db_ = nullptr;
-  /// Per-family quarantine; null when BreakerOptions::failure_threshold
-  /// is 0 (zero overhead).
-  std::unique_ptr<CircuitBreakerRegistry> breaker_;
+  /// One record per plan family (feedback window, stash, breaker); null
+  /// when feedback and the breaker are both disabled (zero overhead).
+  std::unique_ptr<FamilyRegistry> families_;
 
-  // ----- sharded stage-artifact cache + in-flight dedup tables -----
-  mutable std::unique_ptr<Shard[]> shard_storage_;
-  /// Span view of shard_storage_ (mutable access from const snapshots).
-  struct ShardSpan {
-    Shard* data = nullptr;
-    size_t count = 0;
-    Shard& operator[](size_t i) const { return data[i]; }
-    size_t size() const { return count; }
-    Shard* begin() const { return data; }
-    Shard* end() const { return data + count; }
-  } shards_;
-  size_t shard_mask_ = 0;   ///< shards - 1 (shard count is a power of two)
+  // ----- one record per fingerprint-mask slot: cache, in-flight dedup,
+  // plan registry and stats stripe -----
+  /// Sized once in the constructor (a power of two) and never resized.
+  mutable std::vector<Shard> shards_;
+  size_t shard_mask_ = 0;   ///< shards - 1
   unsigned shard_bits_ = 0; ///< log2(shard count)
   size_t slot_mask_ = 0;    ///< per-shard published slot indexes - 1
   size_t shard_capacity_ = 0;  ///< resident entries allowed per shard
@@ -769,7 +763,6 @@ class PredictionService {
   /// it, so the counter — not any one shard's state — is the authority.
   std::atomic<uint64_t> generation_{0};
 
-  // ----- versioned calibration + feedback loop -----
   /// Serializes epoch assignment (PublishCalibration): the snapshot
   /// pointer itself is lock-free (an atomic shared_ptr swap inside the
   /// pipeline, deliberately outside the mutex capability model — see
@@ -777,32 +770,6 @@ class PredictionService {
   /// are unique and monotone, so it guards no fields, just the
   /// read-increment-publish sequence.
   Mutex calibration_mu_;
-  /// Per-plan-family windowed error tracking; null when feedback is
-  /// disabled (zero overhead).
-  std::unique_ptr<FeedbackRegistry> feedback_;
-
-  // ----- striped counters (one stripe per shard + classification rules
-  // that make hits + misses == predictions hold by construction) -----
-  mutable std::unique_ptr<StatsStripe[]> stripes_storage_;
-  StatsStripe* stripes_ = nullptr;
-
-  // ----- plan registry (owned clones for outstanding async requests),
-  // sharded by fingerprint exactly like the cache: a cold-plan async storm
-  // across distinct plans interns and releases without a global lock -----
-  struct RegisteredPlan {
-    std::shared_ptr<const Plan> plan;
-    size_t refs = 0;
-  };
-  struct alignas(64) RegistryShard {
-    mutable Mutex mu;
-    /// Keyed by canonical structural key: two plans colliding on a forced
-    /// fingerprint (test seam) still intern separately.
-    std::unordered_map<std::string, RegisteredPlan> plans UQP_GUARDED_BY(mu);
-  };
-  RegistryShard& RegistryShardFor(uint64_t fingerprint) const {
-    return registry_shards_[static_cast<size_t>(fingerprint) & shard_mask_];
-  }
-  mutable std::unique_ptr<RegistryShard[]> registry_shards_;
 };
 
 }  // namespace uqp

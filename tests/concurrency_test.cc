@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "core/variance.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
@@ -171,7 +171,7 @@ std::vector<Plan>* IntraPlanRaceTest::plans_ = nullptr;
 // still collapses repeats to one stage-1 run per distinct plan.
 TEST_F(IntraPlanRaceTest, ConcurrentAsyncPredictionsFanOutShards) {
   PredictorOptions seq_opts;
-  Predictor reference(db_, samples_, *units_, seq_opts);
+  PredictionPipeline reference(db_, samples_, *units_, seq_opts);
   std::vector<Prediction> expected;
   for (const Plan& plan : *plans_) {
     auto ref = reference.Predict(plan);
@@ -209,7 +209,7 @@ TEST_F(IntraPlanRaceTest, ConcurrentAsyncPredictionsFanOutShards) {
 // flushed generations are dropped, never resurrected.
 TEST_F(IntraPlanRaceTest, InvalidateCacheMidParallelRun) {
   PredictorOptions seq_opts;
-  Predictor reference(db_, samples_, *units_, seq_opts);
+  PredictionPipeline reference(db_, samples_, *units_, seq_opts);
   auto ref = reference.Predict((*plans_)[0]);
   ASSERT_TRUE(ref.ok());
 
@@ -273,7 +273,7 @@ TEST_F(IntraPlanRaceTest, InvalidateCacheMidParallelSort) {
 
   PredictorOptions seq_opts;
   seq_opts.max_batch_size = 64;
-  Predictor reference(db_, samples_, *units_, seq_opts);
+  PredictionPipeline reference(db_, samples_, *units_, seq_opts);
   auto ref = reference.Predict(plan);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
@@ -338,7 +338,7 @@ TEST_F(IntraPlanRaceTest, DeterministicFlushBetweenStagesAndPublish) {
   EXPECT_EQ(service.cache_size(), 0u);
 
   PredictorOptions seq_opts;
-  Predictor reference(db_, samples_, *units_, seq_opts);
+  PredictionPipeline reference(db_, samples_, *units_, seq_opts);
   auto ref = reference.Predict((*plans_)[1]);
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(got->mean(), ref->mean());
@@ -355,7 +355,7 @@ TEST_F(IntraPlanRaceTest, DeterministicFlushBetweenStagesAndPublish) {
 // hot hits take no global lock, concurrent with InvalidateCache).
 TEST_F(IntraPlanRaceTest, LockFreeHitsRaceInvalidateCacheAcrossShards) {
   PredictorOptions seq_opts;
-  Predictor reference(db_, samples_, *units_, seq_opts);
+  PredictionPipeline reference(db_, samples_, *units_, seq_opts);
   std::vector<Prediction> expected;
   for (const Plan& plan : *plans_) {
     auto ref = reference.Predict(plan);

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "core/explain.h"
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -43,7 +43,7 @@ struct Fixture {
 
 TEST(Explain, SharesSumToOneAndMeansSumToPrediction) {
   Fixture fx;
-  Predictor predictor(&fx.db, &fx.samples, fx.units);
+  PredictionPipeline predictor(&fx.db, &fx.samples, fx.units);
   auto pred = predictor.Predict(fx.plan);
   ASSERT_TRUE(pred.ok());
   const auto ops = ExplainOperators(fx.plan, *pred, fx.units);
@@ -61,7 +61,7 @@ TEST(Explain, SharesSumToOneAndMeansSumToPrediction) {
 
 TEST(Explain, LabelsIncludeTableNames) {
   Fixture fx;
-  Predictor predictor(&fx.db, &fx.samples, fx.units);
+  PredictionPipeline predictor(&fx.db, &fx.samples, fx.units);
   auto pred = predictor.Predict(fx.plan);
   ASSERT_TRUE(pred.ok());
   const auto ops = ExplainOperators(fx.plan, *pred, fx.units);
@@ -74,7 +74,7 @@ TEST(Explain, LabelsIncludeTableNames) {
 
 TEST(Explain, RenderContainsHeaderAndOperators) {
   Fixture fx;
-  Predictor predictor(&fx.db, &fx.samples, fx.units);
+  PredictionPipeline predictor(&fx.db, &fx.samples, fx.units);
   auto pred = predictor.Predict(fx.plan);
   ASSERT_TRUE(pred.ok());
   const std::string text = RenderExplain(fx.plan, *pred, fx.units);
@@ -135,7 +135,7 @@ TEST(HistogramScanMode, EndToEndThroughPredictor) {
   Fixture fx;
   PredictorOptions options;
   options.scan_mode = ScanEstimateMode::kHistogram;
-  Predictor predictor(&fx.db, &fx.samples, fx.units, options);
+  PredictionPipeline predictor(&fx.db, &fx.samples, fx.units, options);
   auto pred = predictor.Predict(fx.plan);
   ASSERT_TRUE(pred.ok());
   EXPECT_GT(pred->mean(), 0.0);

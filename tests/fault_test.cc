@@ -1,5 +1,6 @@
-// Unit tests for the deterministic fault-injection harness and the
-// per-family circuit breaker (src/service/fault.{h,cc}): the schedule is
+// Unit tests for the deterministic fault-injection harness
+// (src/service/fault.{h,cc}) and the per-family circuit breaker kept in
+// the family table (src/service/feedback.{h,cc}): the schedule is
 // a pure function of the seed (replayable bit-identically at any thread
 // count), attempt numbering is exact under concurrency, and the breaker
 // walks closed -> open -> half-open -> closed/open deterministically,
@@ -14,6 +15,7 @@
 
 #include "common/status.h"
 #include "service/fault.h"
+#include "service/feedback.h"
 
 namespace uqp {
 namespace {
@@ -138,23 +140,56 @@ TEST(ScheduledFaultInjectorTest, SpuriousWakeupFiresEveryNth) {
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
+/// The family table with the service's breaker counters beside it,
+/// tallied the way the service's stats stripes tally them: probes from
+/// Admit's decisions, opens from OnStageResult's verdicts.
+struct Breaker {
+  explicit Breaker(BreakerOptions opts) : table(FeedbackOptions(), opts, 8) {}
+
+  BreakerDecision Admit(uint64_t fp) {
+    const BreakerDecision d = table.Admit(fp);
+    if (d.probe) ++total_probes;
+    return d;
+  }
+  bool OnStageResult(uint64_t fp, bool ok) {
+    const bool opened = table.OnStageResult(fp, ok);
+    if (opened) ++total_opens;
+    return opened;
+  }
+  /// The family's snapshot row (a zero-value row if never touched).
+  FamilyFeedback Family(uint64_t fp) const {
+    for (const FamilyFeedback& row : table.Snapshot()) {
+      if (row.fingerprint == fp) return row;
+    }
+    FamilyFeedback ghost;
+    ghost.fingerprint = fp;
+    return ghost;
+  }
+
+  FamilyRegistry table;
+  uint64_t total_opens = 0;
+  uint64_t total_probes = 0;
+};
+
 TEST(CircuitBreakerTest, DisabledRegistryAdmitsEverything) {
-  CircuitBreakerRegistry breaker(BreakerOptions{});  // threshold 0: disabled
-  EXPECT_FALSE(breaker.enabled());
+  Breaker breaker(BreakerOptions{});  // threshold 0: disabled
+  EXPECT_FALSE(breaker.table.breaker_enabled());
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(breaker.OnStageResult(1, /*ok=*/false));
     const BreakerDecision d = breaker.Admit(1);
     EXPECT_FALSE(d.shed);
     EXPECT_FALSE(d.probe);
   }
-  EXPECT_EQ(breaker.total_opens(), 0u);
+  EXPECT_EQ(breaker.total_opens, 0u);
+  EXPECT_TRUE(breaker.table.Snapshot().empty())
+      << "a disabled breaker keeps no family records";
 }
 
 TEST(CircuitBreakerTest, ConsecutiveFailuresOpenAtThreshold) {
   BreakerOptions opts;
   opts.failure_threshold = 3;
   opts.cooldown_requests = 4;
-  CircuitBreakerRegistry breaker(opts);
+  Breaker breaker(opts);
   const uint64_t kFp = 21;
 
   EXPECT_FALSE(breaker.OnStageResult(kFp, false));
@@ -162,8 +197,8 @@ TEST(CircuitBreakerTest, ConsecutiveFailuresOpenAtThreshold) {
   EXPECT_FALSE(breaker.Admit(kFp).shed) << "still closed below threshold";
   EXPECT_TRUE(breaker.OnStageResult(kFp, false))
       << "the threshold-th consecutive failure must report the open";
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kOpen);
-  EXPECT_EQ(breaker.total_opens(), 1u);
+  EXPECT_STREQ(breaker.Family(kFp).breaker_state, "open");
+  EXPECT_EQ(breaker.total_opens, 1u);
 
   // A success anywhere before the threshold resets the streak.
   const uint64_t kOther = 22;
@@ -172,14 +207,14 @@ TEST(CircuitBreakerTest, ConsecutiveFailuresOpenAtThreshold) {
   breaker.OnStageResult(kOther, false);
   EXPECT_FALSE(breaker.OnStageResult(kOther, false))
       << "a success must reset the consecutive-failure streak";
-  EXPECT_EQ(breaker.Family(kOther).state, BreakerState::kClosed);
+  EXPECT_STREQ(breaker.Family(kOther).breaker_state, "closed");
 }
 
 TEST(CircuitBreakerTest, CooldownShedsThenProbesHalfOpen) {
   BreakerOptions opts;
   opts.failure_threshold = 2;
   opts.cooldown_requests = 3;
-  CircuitBreakerRegistry breaker(opts);
+  Breaker breaker(opts);
   const uint64_t kFp = 33;
   breaker.OnStageResult(kFp, false);
   breaker.OnStageResult(kFp, false);  // open
@@ -193,15 +228,15 @@ TEST(CircuitBreakerTest, CooldownShedsThenProbesHalfOpen) {
   const BreakerDecision probe = breaker.Admit(kFp);
   EXPECT_TRUE(probe.probe);
   EXPECT_FALSE(probe.shed);
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kHalfOpen);
-  EXPECT_EQ(breaker.total_probes(), 1u);
+  EXPECT_STREQ(breaker.Family(kFp).breaker_state, "half_open");
+  EXPECT_EQ(breaker.total_probes, 1u);
 
   // While the probe is in flight, everyone else keeps shedding.
   EXPECT_TRUE(breaker.Admit(kFp).shed);
 
   // Probe success closes; the family admits freely again.
   EXPECT_FALSE(breaker.OnStageResult(kFp, true));
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kClosed);
+  EXPECT_STREQ(breaker.Family(kFp).breaker_state, "closed");
   const BreakerDecision after = breaker.Admit(kFp);
   EXPECT_FALSE(after.shed);
   EXPECT_FALSE(after.probe);
@@ -211,7 +246,7 @@ TEST(CircuitBreakerTest, FailedProbeReopensImmediately) {
   BreakerOptions opts;
   opts.failure_threshold = 2;
   opts.cooldown_requests = 2;
-  CircuitBreakerRegistry breaker(opts);
+  Breaker breaker(opts);
   const uint64_t kFp = 44;
   breaker.OnStageResult(kFp, false);
   breaker.OnStageResult(kFp, false);  // open (1st)
@@ -220,9 +255,9 @@ TEST(CircuitBreakerTest, FailedProbeReopensImmediately) {
   ASSERT_TRUE(probe.probe);
   EXPECT_TRUE(breaker.OnStageResult(kFp, false))
       << "a failed half-open probe must re-open (and report it)";
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kOpen);
-  EXPECT_EQ(breaker.Family(kFp).opens, 2u);
-  EXPECT_EQ(breaker.total_opens(), 2u);
+  EXPECT_STREQ(breaker.Family(kFp).breaker_state, "open");
+  EXPECT_EQ(breaker.Family(kFp).breaker_opens, 2u);
+  EXPECT_EQ(breaker.total_opens, 2u);
   // The cooldown restarts from zero after the re-open.
   EXPECT_TRUE(breaker.Admit(kFp).shed);
   EXPECT_TRUE(breaker.Admit(kFp).probe);
@@ -232,26 +267,26 @@ TEST(CircuitBreakerTest, SnapshotIsSortedAndComplete) {
   BreakerOptions opts;
   opts.failure_threshold = 1;
   opts.cooldown_requests = 8;
-  CircuitBreakerRegistry breaker(opts);
+  Breaker breaker(opts);
   // Touch families across several shards, out of order.
   for (uint64_t fp : {19u, 3u, 8u, 200u}) breaker.OnStageResult(fp, false);
   breaker.Admit(19);  // one shed for family 19
-  const std::vector<BreakerSnapshot> rows = breaker.Snapshot();
+  const std::vector<FamilyFeedback> rows = breaker.table.Snapshot();
   ASSERT_EQ(rows.size(), 4u);
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LT(rows[i - 1].fingerprint, rows[i].fingerprint)
         << "snapshot must be sorted by fingerprint";
   }
-  for (const BreakerSnapshot& row : rows) {
-    EXPECT_EQ(row.state, BreakerState::kOpen);
-    EXPECT_EQ(row.opens, 1u);
-    EXPECT_EQ(row.shed, row.fingerprint == 19 ? 1u : 0u);
+  for (const FamilyFeedback& row : rows) {
+    EXPECT_STREQ(row.breaker_state, "open");
+    EXPECT_EQ(row.breaker_opens, 1u);
+    EXPECT_EQ(row.breaker_shed, row.fingerprint == 19 ? 1u : 0u);
   }
   // An untouched family reads as a zero-value closed row.
-  const BreakerSnapshot ghost = breaker.Family(777);
-  EXPECT_EQ(ghost.state, BreakerState::kClosed);
-  EXPECT_EQ(ghost.opens, 0u);
-  EXPECT_STREQ(ToString(ghost.state), "closed");
+  const FamilyFeedback ghost = breaker.Family(777);
+  EXPECT_STREQ(ghost.breaker_state, ToString(BreakerState::kClosed));
+  EXPECT_EQ(ghost.breaker_opens, 0u);
+  EXPECT_STREQ(ghost.breaker_state, "closed");
   EXPECT_STREQ(ToString(BreakerState::kHalfOpen), "half_open");
 }
 

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "exp/harness.h"
 #include "hw/machine.h"
@@ -172,7 +172,7 @@ TEST(HarnessSettings, PaperGridHasFourSettings) {
   EXPECT_DOUBLE_EQ(settings[1].zipf, 1.0);
 }
 
-// ---------- Predictor-level behaviour (paper §6.3.2) ----------
+// ---------- PredictionPipeline-level behaviour (paper §6.3.2) ----------
 
 TEST(PredictorBehaviour, DifferentSamplesGiveDifferentDistributions) {
   Database db = MakeTpchDatabase(TpchConfig::Profile("tiny"));
@@ -195,7 +195,7 @@ TEST(PredictorBehaviour, DifferentSamplesGiveDifferentDistributions) {
   o2.seed = 200;
   const SampleDb s1 = SampleDb::Build(db, o1);
   const SampleDb s2 = SampleDb::Build(db, o2);
-  Predictor p1(&db, &s1, units), p2(&db, &s2, units);
+  PredictionPipeline p1(&db, &s1, units), p2(&db, &s2, units);
   auto d1 = p1.Predict(plan);
   auto d2 = p2.Predict(plan);
   ASSERT_TRUE(d1.ok() && d2.ok());
@@ -225,7 +225,7 @@ TEST(PredictorBehaviour, LargerSamplesShrinkSelectivityUncertainty) {
     SampleOptions options;
     options.sampling_ratio = sr;
     const SampleDb samples = SampleDb::Build(db, options);
-    Predictor predictor(&db, &samples, units);
+    PredictionPipeline predictor(&db, &samples, units);
     auto pred = predictor.Predict(plan);
     ASSERT_TRUE(pred.ok());
     const double sel_var =

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/predictor.h"
 #include "cost/calibration.h"
 #include "cost/snapshot.h"
 #include "datagen/tpch.h"
@@ -176,7 +175,7 @@ TEST_F(ParallelParityTest, SampleRunBitIdenticalAcrossThreadCounts) {
 // the breakdown — is exactly equal under intra-query parallelism.
 TEST_F(ParallelParityTest, PredictionBitIdenticalAcrossThreadCounts) {
   PredictorOptions sequential;
-  Predictor baseline(db_, samples_, *units_, sequential);
+  PredictionPipeline baseline(db_, samples_, *units_, sequential);
   for (const auto& wp : *workloads_) {
     for (size_t p = 0; p < wp.plans.size(); ++p) {
       auto ref = baseline.Predict(wp.plans[p]);
@@ -184,7 +183,7 @@ TEST_F(ParallelParityTest, PredictionBitIdenticalAcrossThreadCounts) {
       for (int t : ParityThreadCounts()) {
         PredictorOptions opts;
         opts.num_threads = t;
-        Predictor parallel(db_, samples_, *units_, opts);
+        PredictionPipeline parallel(db_, samples_, *units_, opts);
         auto got = parallel.Predict(wp.plans[p]);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got->mean(), ref->mean())
@@ -398,13 +397,13 @@ TEST_F(ParallelParityTest, AutoBatchSizePredictionsExact) {
   const Plan& plan = (*workloads_)[0].plans[0];
   PredictorOptions auto_opts;
   auto_opts.max_batch_size = 0;
-  Predictor auto_seq(db_, samples_, *units_, auto_opts);
+  PredictionPipeline auto_seq(db_, samples_, *units_, auto_opts);
   auto ref = auto_seq.Predict(plan);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   for (int t : ParityThreadCounts()) {
     PredictorOptions opts = auto_opts;
     opts.num_threads = t;
-    Predictor parallel(db_, samples_, *units_, opts);
+    PredictionPipeline parallel(db_, samples_, *units_, opts);
     auto got = parallel.Predict(plan);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->mean(), ref->mean()) << "auto batch at num_threads=" << t;
@@ -455,13 +454,13 @@ TEST_F(ParallelParityTest, OperatorTailPredictionsExact) {
     for (int64_t batch : {int64_t{7}, int64_t{64}, int64_t{1024}}) {
       PredictorOptions sequential;
       sequential.max_batch_size = batch;
-      Predictor baseline(db_, samples_, *units_, sequential);
+      PredictionPipeline baseline(db_, samples_, *units_, sequential);
       auto ref = baseline.Predict(plans[p]);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       for (int t : ParityThreadCounts()) {
         PredictorOptions opts = sequential;
         opts.num_threads = t;
-        Predictor parallel(db_, samples_, *units_, opts);
+        PredictionPipeline parallel(db_, samples_, *units_, opts);
         auto got = parallel.Predict(plans[p]);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got->mean(), ref->mean())
@@ -573,7 +572,7 @@ TEST_F(ParallelParityTest, FeedbackTrajectoryBitIdenticalAcrossThreadCounts) {
   // Synthesize the trace from the sequential reference predictions: four
   // accurate rounds (families converge), then six rounds at 2.2x (the
   // machine drifted; the detector must fire exactly once).
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   std::vector<double> base_means;
   for (const Plan& plan : plans) {
     auto ref = reference.Predict(plan);

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/cost_model.h"
@@ -77,8 +77,9 @@ CostUnits* ServiceTest::units_ = nullptr;
 std::vector<Plan>* ServiceTest::plans_ = nullptr;
 
 TEST_F(ServiceTest, BatchBitIdenticalToSequential) {
-  // Sequential reference through the plain Predictor (no cache, no pool).
-  Predictor predictor(db_, samples_, *units_);
+  // Sequential reference through the plain PredictionPipeline (no cache, no
+  // pool).
+  PredictionPipeline predictor(db_, samples_, *units_);
   std::vector<Prediction> reference;
   for (const Plan& plan : *plans_) {
     auto pred_or = predictor.Predict(plan);
@@ -158,7 +159,7 @@ TEST_F(ServiceTest, FingerprintDistinguishesPlans) {
 TEST_F(ServiceTest, ConcurrentPredictIsRaceFree) {
   // N threads hammer Predict over a shared service (shared cache, shared
   // pipeline); every result must equal the sequential reference.
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   std::vector<Prediction> reference;
   for (const Plan& plan : *plans_) {
     auto pred_or = predictor.Predict(plan);
@@ -224,7 +225,7 @@ TEST_F(ServiceTest, CacheDisabledStillCorrect) {
 
 TEST_F(ServiceTest, RecomputeMatchesPredictorRecompute) {
   PredictionService service(db_, samples_, *units_);
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   auto pred_or = service.Predict((*plans_)[2]);
   ASSERT_TRUE(pred_or.ok());
   for (const auto variant : {PredictorVariant::kNoVarC, PredictorVariant::kNoVarX,
@@ -286,7 +287,7 @@ TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
     futures.push_back(service.PredictAsync(plan));
   }
 
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   auto ref = reference.Predict(plan);
   ASSERT_TRUE(ref.ok());
   for (auto& f : futures) {
@@ -308,7 +309,7 @@ TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
 
 TEST_F(ServiceTest, AsyncMatchesSyncBitIdentical) {
   PredictionService service(db_, samples_, *units_);
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (const Plan& plan : *plans_) futures.push_back(service.PredictAsync(plan));
   for (size_t i = 0; i < plans_->size(); ++i) {
@@ -454,7 +455,7 @@ TEST_F(ServiceTest, FingerprintCollisionFallsBackToMiss) {
   // Force every plan onto one 64-bit fingerprint: the structural key
   // stored with each cache entry must turn would-be false hits into
   // misses, so predictions stay bit-identical to the reference.
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   ServiceOptions options;
   options.fingerprint_fn = [](const Plan&) -> uint64_t { return 42; };
   PredictionService service(db_, samples_, *units_, options);
@@ -498,7 +499,7 @@ TEST_F(ServiceTest, BatchDedupRespectsStructuralKey) {
   ServiceOptions options;
   options.fingerprint_fn = [](const Plan&) -> uint64_t { return 7; };
   PredictionService service(db_, samples_, *units_, options);
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
 
   std::vector<const Plan*> batch = {&(*plans_)[0], &(*plans_)[1],
                                     &(*plans_)[0], &(*plans_)[1]};
@@ -534,7 +535,7 @@ TEST_F(ServiceTest, AsyncCallerDropsPlanImmediately) {
   // clone. Under AddressSanitizer this test is what proves the old
   // capture-by-raw-pointer use-after-free is gone.
   PredictionService service(db_, samples_, *units_);
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   auto ref = reference.Predict((*plans_)[0]);
   ASSERT_TRUE(ref.ok());
 
@@ -574,7 +575,7 @@ TEST_F(ServiceTest, AsyncStormWithDroppedPlansSharesOneCloneAndOneRun) {
     }
   };
   PredictionService service(db_, samples_, *units_, options);
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   auto ref = reference.Predict((*plans_)[1]);
   ASSERT_TRUE(ref.ok());
 
@@ -994,56 +995,22 @@ TEST_F(ServiceTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.predictions);
 }
 
-TEST_F(ServiceTest, DrainOnShutdownServesLatecomersInline) {
-  Predictor reference(db_, samples_, *units_);
-  auto ref = reference.Predict((*plans_)[1]);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  ServiceOptions options;
-  options.num_workers = 2;
-  options.drain_on_shutdown = true;
-  PredictionService service(db_, samples_, *units_, options);
-  ASSERT_TRUE(service.PredictAsync((*plans_)[0]).get().ok());
-  service.Shutdown();
-
-  // A cold latecomer is predicted inline on this thread: already ready,
-  // correct and bit-identical — never Unavailable.
-  auto after = service.PredictAsync((*plans_)[1]);
-  ASSERT_EQ(after.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  auto result = after.get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->mean(), ref->mean());
-  EXPECT_EQ(result->breakdown.variance, ref->breakdown.variance);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.drained_inline, 1u);
-  EXPECT_EQ(stats.async_rejects, 0u);
-  EXPECT_EQ(service.plan_registry_size(), 0u);
-
-  // Its artifacts were cached by the inline run, so the repeat is a plain
-  // hot hit — served inline but NOT counted as drained.
-  auto hot = service.PredictAsync((*plans_)[1]);
-  ASSERT_EQ(hot.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  ASSERT_TRUE(hot.get().ok());
-  EXPECT_EQ(service.stats().drained_inline, 1u);
-}
-
 TEST_F(ServiceTest, DrainOnShutdownRacesInflightWinner) {
   // The drain/winner race: Shutdown() is initiated while a winner is
   // mid-stages. Latecomers for the winner's plan park on its in-flight
-  // run (and are drained by the winner); cold latecomers that observe the
-  // shutdown flag run inline. No future is ever lost or Unavailable.
+  // run at submit time (and are drained by the winner); cold latecomers
+  // that observe the shutdown flag resolve Unavailable at once. No future
+  // is ever lost.
   ServiceOptions options;
   options.num_workers = 1;
-  options.drain_on_shutdown = true;
   std::mutex mu;
   std::condition_variable cv;
   bool winner_gated = false;
   bool release = false;
   std::atomic<int> hook_calls{0};
   options.post_stages_hook = [&] {
-    // Gate only the first run (the async winner); inline drained runs on
-    // the main thread must pass through unhindered.
+    // Gate only the first run (the async winner); cold latecomers queued
+    // before the flag must pass through unhindered.
     if (hook_calls.fetch_add(1) == 0) {
       std::unique_lock<std::mutex> lock(mu);
       winner_gated = true;
@@ -1059,18 +1026,21 @@ TEST_F(ServiceTest, DrainOnShutdownRacesInflightWinner) {
     cv.wait(lock, [&] { return winner_gated; });
   }
 
-  // Shutdown sets the reject/drain flag immediately, then blocks joining
-  // the worker that is parked in the gate above.
+  // Shutdown sets the reject flag immediately, then blocks joining the
+  // worker that is parked in the gate above.
   std::thread closer([&] { service.Shutdown(); });
 
-  // Submit cold-plan latecomers until one observes the flag and drains
-  // inline. (A submission racing ahead of the flag is enqueued behind the
+  // Submit cold-plan latecomers until one observes the flag and is
+  // refused. (A submission racing ahead of the flag is enqueued behind the
   // gated winner and completes after release — also fine.)
   std::vector<std::future<StatusOr<Prediction>>> latecomers;
-  while (service.stats().drained_inline == 0) {
+  while (service.stats().async_rejects == 0) {
     latecomers.push_back(service.PredictAsync((*plans_)[1]));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_EQ(latecomers.back().wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "a refused latecomer must be ready immediately";
 
   // A latecomer for the WINNER'S plan parks on the still-gated in-flight
   // run at submit time; the winner drains it on release.
@@ -1092,14 +1062,21 @@ TEST_F(ServiceTest, DrainOnShutdownRacesInflightWinner) {
   ASSERT_TRUE(parked_result.ok()) << parked_result.status().ToString();
   EXPECT_EQ(parked_result->mean(), winner_result->mean());
   EXPECT_EQ(parked_result->sample_run.get(), winner_result->sample_run.get());
+  uint64_t refused = 0;
   for (auto& f : latecomers) {
     auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) continue;  // enqueued before the flag, served after release
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
+        << r.status().ToString();
+    ++refused;
   }
   const ServiceStats stats = service.stats();
-  EXPECT_GE(stats.drained_inline, 1u);
-  EXPECT_EQ(stats.async_rejects, 0u);
+  EXPECT_GE(refused, 1u);
+  EXPECT_EQ(stats.async_rejects, refused);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.predictions);
+  EXPECT_EQ(stats.ok_served + stats.failed + stats.degraded_served +
+                stats.deadline_exceeded,
+            stats.predictions);
   EXPECT_EQ(service.plan_registry_size(), 0u);
 }
 
@@ -1109,7 +1086,7 @@ TEST_F(ServiceTest, StripedStatsInvariantNeverTearsUnderMixedStorm) {
   // against a deliberately tiny cache. The striped counters must never
   // expose a snapshot where hits + misses != predictions, and predictions
   // must be monotone across polls.
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   std::vector<Prediction> expected;
   for (const Plan& plan : *plans_) {
     auto ref = reference.Predict(plan);
@@ -1972,6 +1949,90 @@ TEST_F(ServiceTest, BreakerClosesAfterSuccessfulProbe) {
   ASSERT_TRUE(service.Predict((*plans_)[1]).ok());
   EXPECT_EQ(service.stats().cache_hits, 1u);
   ExpectOutcomeConservation(service.stats());
+}
+
+TEST_F(ServiceTest, FamilyRowCarriesFeedbackWindowAndBreakerState) {
+  // Feedback and the breaker share one record per family: a reported
+  // family whose breaker opened shows its error window AND its breaker
+  // state in one FeedbackSnapshot row, while a breaker-only family is a
+  // row with an empty window that never counts as a feedback family.
+  const uint64_t reported = PlanFingerprint((*plans_)[0]);
+  const uint64_t breaker_only = PlanFingerprint((*plans_)[1]);
+  ScheduledFaultOptions fopts;
+  FaultRule poisoned;
+  poisoned.fail_attempts = 1000;
+  fopts.rules[reported] = poisoned;
+  fopts.rules[breaker_only] = poisoned;
+  ScheduledFaultInjector injector(fopts);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &injector;
+  options.breaker.failure_threshold = 2;
+  options.breaker.cooldown_requests = 4;
+  options.feedback.enabled = true;
+  options.feedback.window_size = 4;
+  PredictionService service(db_, samples_, *units_, options);
+  RequestOptions opts;
+  opts.allow_degraded = true;
+
+  for (size_t p = 0; p < 2; ++p) {
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(service.Predict((*plans_)[p], opts)->degraded);
+    }
+  }
+  PredictionPipeline reference(db_, samples_, *units_);
+  auto decided = reference.Predict((*plans_)[0]);
+  ASSERT_TRUE(decided.ok()) << decided.status().ToString();
+  service.ReportObservedAgainst(reported, *decided, 1.25 * decided->mean());
+  service.ReportObservedAgainst(reported, *decided, 1.25 * decided->mean());
+
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.breaker_opens, 2u);
+  EXPECT_EQ(st.feedback_reports, 2u);
+  EXPECT_EQ(st.feedback_families, 1u) << "breaker-only rows are not counted";
+  EXPECT_EQ(st.converged_families, 0u);
+  ExpectOutcomeConservation(st);
+
+  const std::vector<FamilyFeedback> rows = service.FeedbackSnapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const FamilyFeedback& row : rows) {
+    EXPECT_STREQ(row.breaker_state, "open");
+    EXPECT_EQ(row.breaker_consecutive_failures, 2);
+    EXPECT_EQ(row.breaker_opens, 1u);
+    if (row.fingerprint == reported) {
+      EXPECT_EQ(row.reports, 2u);
+      ASSERT_EQ(row.window.size(), 2u);
+      EXPECT_NEAR(row.window[0], 0.2, 1e-12);
+      EXPECT_TRUE(row.stash.valid);
+    } else {
+      EXPECT_EQ(row.fingerprint, breaker_only);
+      EXPECT_EQ(row.reports, 0u);
+      EXPECT_TRUE(row.window.empty());
+    }
+  }
+}
+
+TEST_F(ServiceTest, ReportObservedIsNoOpWhenOnlyTheBreakerIsOn) {
+  // The family table exists for the breaker alone, but with feedback
+  // disabled a report must neither count nor touch the family's record
+  // (which the successful stage run created for the breaker).
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.breaker.failure_threshold = 2;
+  PredictionService service(db_, samples_, *units_, options);
+  ASSERT_TRUE(service.Predict((*plans_)[0]).ok());
+  service.ReportObserved((*plans_)[0], 10.0);
+  service.ReportObserved((*plans_)[0], -1.0);
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.feedback_reports, 0u);
+  EXPECT_EQ(st.feedback_dropped, 0u);
+  EXPECT_EQ(st.feedback_families, 0u);
+  const std::vector<FamilyFeedback> rows = service.FeedbackSnapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].reports, 0u);
+  EXPECT_TRUE(rows[0].window.empty());
+  EXPECT_FALSE(rows[0].stash.valid);
+  EXPECT_STREQ(rows[0].breaker_state, "closed");
 }
 
 }  // namespace

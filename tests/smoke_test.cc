@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -48,7 +48,7 @@ TEST(Smoke, EndToEndPrediction) {
   ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
   Plan plan = std::move(plan_or).value();
 
-  Predictor predictor(&db, &samples, units);
+  PredictionPipeline predictor(&db, &samples, units);
   auto pred_or = predictor.Predict(plan);
   ASSERT_TRUE(pred_or.ok()) << pred_or.status().ToString();
   const Prediction& pred = *pred_or;

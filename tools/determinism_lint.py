@@ -10,7 +10,10 @@ contract-path sources (src/engine, src/sampling, src/core, and
 src/schedule — the SLO simulator promises byte-identical event logs at
 every thread count and must never read a real clock — plus
 src/service/fault.{h,cc}, whose injected-fault schedule is a pure
-function of the configured seed so chaos runs replay bit-identically)
+function of the configured seed so chaos runs replay bit-identically,
+and src/service/feedback.{h,cc}, whose per-family feedback windows and
+count-based circuit breaker must walk identically for a fixed sequence
+of reports and stage verdicts)
 for the constructs that have historically caused exactly that:
 
   banned-random        std::random_device, rand(), srand() — all sampling
@@ -54,9 +57,12 @@ CONTRACT_DIRS = ("src/engine", "src/sampling", "src/core", "src/schedule")
 # lives in the service layer (a test/bench seam), but its schedule is
 # seed-derived by contract: the decision for (fingerprint, attempt) must be
 # a pure function of the seed — no std::random_device, no clock reads — so
-# chaos runs replay bit-identically across thread counts. Same rules, same
-# waiver tags; no new waiver categories.
-CONTRACT_FILES = ("src/service/fault.cc", "src/service/fault.h")
+# chaos runs replay bit-identically across thread counts. The family table
+# next to it holds the feedback windows and the circuit breaker, whose
+# state trajectories are deterministic by the same contract. Same rules,
+# same waiver tags; no new waiver categories.
+CONTRACT_FILES = ("src/service/fault.cc", "src/service/fault.h",
+                  "src/service/feedback.cc", "src/service/feedback.h")
 FIXTURE_DIR = "tests/determinism_lint"
 SOURCE_EXTS = (".cc", ".h")
 
