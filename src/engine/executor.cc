@@ -150,19 +150,69 @@ bool KeysEqual(RowRef a, const std::vector<int>& acols, RowRef b,
 
 /// Total order used by Sort/MergeJoin: numeric order for numbers,
 /// lexicographic for strings.
-bool ValueLess(const Value& a, const Value& b) {
+int ValueCompare3(const Value& a, const Value& b) {
   if (a.type == ValueType::kString && b.type == ValueType::kString) {
-    if (a.s == b.s) return false;
-    return a.AsString() < b.AsString();
+    if (a.s == b.s) return 0;
+    const int cmp = a.AsString().compare(b.AsString());
+    return (cmp > 0) - (cmp < 0);
   }
-  return a.AsDouble() < b.AsDouble();
+  return a.Compare(b);
 }
 
-int ValueCompare3(const Value& a, const Value& b) {
-  if (ValueLess(a, b)) return -1;
-  if (ValueLess(b, a)) return 1;
-  return 0;
-}
+/// Hash-join build table: open addressing over the distinct 64-bit key
+/// hashes of the build rows. Each slot heads a chain of build rids linked
+/// through `next_` in build-row order, so a probe walks exactly the rids
+/// whose key hash matches, in the order they were inserted.
+class JoinHashTable {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  explicit JoinHashTable(const std::vector<uint64_t>& hashes)
+      : next_(hashes.size(), kNone) {
+    size_t capacity = 16;
+    shift_ = 60;
+    while (capacity < 2 * hashes.size()) {
+      capacity *= 2;
+      --shift_;
+    }
+    slots_.assign(capacity, Slot{0, kNone, kNone});
+    for (size_t r = 0; r < hashes.size(); ++r) {
+      Slot& slot = slots_[Find(hashes[r])];
+      if (slot.head == kNone) {
+        slot.hash = hashes[r];
+        slot.head = static_cast<uint32_t>(r);
+      } else {
+        next_[slot.tail] = static_cast<uint32_t>(r);
+      }
+      slot.tail = static_cast<uint32_t>(r);
+    }
+  }
+
+  /// First build rid whose key hash is `h`, or kNone.
+  uint32_t Head(uint64_t h) const { return slots_[Find(h)].head; }
+  /// The build rid after `rid` in its chain, or kNone.
+  uint32_t Next(uint32_t rid) const { return next_[rid]; }
+
+ private:
+  struct Slot {
+    uint64_t hash;
+    uint32_t head;  ///< kNone marks an empty slot
+    uint32_t tail;
+  };
+
+  /// Index of the slot holding `h`, or of the empty slot where it would
+  /// go. The table is at most half full, so the linear probe always ends.
+  size_t Find(uint64_t h) const {
+    size_t i = static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+    const size_t mask = slots_.size() - 1;
+    while (slots_[i].head != kNone && slots_[i].hash != h) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> next_;
+  int shift_;
+};
 
 double PagesFor(double rows, double width_bytes) {
   if (rows <= 0.0) return 0.0;
@@ -315,9 +365,6 @@ class NodeRunner {
     if (ctx_->Cancelled()) {
       return Status::DeadlineExceeded("execution cancelled at operator boundary");
     }
-    if (retained_ != nullptr) {
-      (*retained_)[static_cast<size_t>(node.id)] = block;  // copy
-    }
     return block;
   }
 
@@ -344,14 +391,21 @@ class NodeRunner {
     return Status::Internal("unknown operator type");
   }
 
-  /// Appends the rows of a contiguous chunk whose selection-mask lane is
-  /// set, bulk-copying consecutive runs of survivors. Provenance ids are
-  /// base + lane (row indexes of the source table) — or, when `rids` is
-  /// non-null, come from that parallel array instead (rows gathered from
-  /// non-contiguous sources, e.g. index scans).
+  /// Hands a child's output block to the retained set once its parent has
+  /// finished reading it. Every parent retains its children this way, so
+  /// retention copies only a materialize's input and (in Execute) the
+  /// root's output.
+  void Retain(const PlanNode& child, RowBlock* block) {
+    if (retained_ != nullptr) {
+      (*retained_)[static_cast<size_t>(child.id)] = std::move(*block);
+    }
+  }
+
+  /// Appends the rows of a gathered chunk whose selection-mask lane is
+  /// set, bulk-copying consecutive runs of survivors; provenance ids come
+  /// from the parallel `rids` array (the rows' source-table indexes).
   void AppendSelected(RowBlock* out, const Value* rows, int ncols, int64_t n,
-                      const uint8_t* mask, int64_t base,
-                      const uint32_t* rids = nullptr) {
+                      const uint8_t* mask, const uint32_t* rids) {
     int64_t i = 0;
     while (i < n) {
       if (mask[i] == 0) {
@@ -362,13 +416,7 @@ class NodeRunner {
       while (j < n && mask[j] != 0) ++j;
       out->values.insert(out->values.end(), rows + i * ncols, rows + j * ncols);
       if (out->prov_width > 0) {
-        if (rids != nullptr) {
-          out->prov.insert(out->prov.end(), rids + i, rids + j);
-        } else {
-          for (int64_t r = i; r < j; ++r) {
-            out->prov.push_back(static_cast<uint32_t>(base + r));
-          }
-        }
+        out->prov.insert(out->prov.end(), rids + i, rids + j);
       }
       i = j;
     }
@@ -480,13 +528,14 @@ class NodeRunner {
                     });
   }
 
-  /// In-place flavor of AppendSelected: writes the selected rows of a
-  /// contiguous chunk (and their provenance ids) at `vdst`/`pdst`, which
-  /// must have room for every survivor. Returns the rows written. Value is
-  /// a trivially copyable 16-byte cell, so the run copies lower to memmove.
-  static int64_t PlaceSelected(Value* vdst, uint32_t* pdst, const Value* rows,
-                               int ncols, int64_t n, const uint8_t* mask,
-                               int64_t base, const uint32_t* rids = nullptr) {
+  /// In-place flavor of AppendSelected for a contiguous chunk of source
+  /// rows: writes the selected rows at `vdst` and their provenance ids
+  /// (base + lane, the source-table row indexes) at `pdst` unless it is
+  /// null; both must have room for every survivor. Value is a trivially
+  /// copyable 16-byte cell, so the run copies lower to memmove.
+  static void PlaceSelected(Value* vdst, uint32_t* pdst, const Value* rows,
+                            int ncols, int64_t n, const uint8_t* mask,
+                            int64_t base) {
     int64_t written = 0;
     int64_t i = 0;
     while (i < n) {
@@ -498,18 +547,13 @@ class NodeRunner {
       while (j < n && mask[j] != 0) ++j;
       std::copy(rows + i * ncols, rows + j * ncols, vdst + written * ncols);
       if (pdst != nullptr) {
-        if (rids != nullptr) {
-          std::copy(rids + i, rids + j, pdst + written);
-        } else {
-          for (int64_t r = i; r < j; ++r) {
-            pdst[written + (r - i)] = static_cast<uint32_t>(base + r);
-          }
+        for (int64_t r = i; r < j; ++r) {
+          pdst[written + (r - i)] = static_cast<uint32_t>(base + r);
         }
       }
       written += j - i;
       i = j;
     }
-    return written;
   }
 
   /// Runs both children of a binary operator, concurrently when the
@@ -593,18 +637,19 @@ class NodeRunner {
           out.prov[static_cast<size_t>(r)] = static_cast<uint32_t>(r);
         }
       }
-    } else if (ShouldShard(rows)) {
-      // Morsel-parallel filter, fully in place: a sizing pass evaluates
-      // the predicate into one shared mask and counts survivors per chunk,
-      // then the output is sized once and a placement pass copies each
-      // chunk's surviving source rows directly into its span — no
-      // intermediate chunk blocks, no merge copy. Survivors land in chunk
-      // order, bit-identical to the sequential loop below.
+    } else {
+      // Filter fully in place, at every thread count: a sizing pass
+      // evaluates the predicate chunk by chunk (column-at-a-time) into one
+      // shared mask and counts survivors per chunk, then the output is
+      // sized once and a placement pass copies each chunk's surviving
+      // source rows directly into its span — no intermediate chunk blocks,
+      // no merge copy, no regrowth. Chunks run on the pool when there is
+      // one; survivors land in chunk order either way.
       const int64_t chunk = ctx_->batch();
       const int64_t nchunks = NumChunks(rows);
       std::vector<uint8_t> mask(static_cast<size_t>(rows));
       std::vector<int64_t> survivors(static_cast<size_t>(nchunks), 0);
-      ctx_->runner()->RunTasks(nchunks, [&](int64_t c) {
+      RunTaskRange(nchunks, [&](int64_t c) {
         const int64_t base = c * chunk;
         const int64_t nb = std::min(chunk, rows - base);
         uint8_t* chunk_mask = mask.data() + base;
@@ -622,7 +667,7 @@ class NodeRunner {
       const int64_t total = offsets[static_cast<size_t>(nchunks)];
       out.values.resize(static_cast<size_t>(total * ncols));
       if (out.prov_width > 0) out.prov.resize(static_cast<size_t>(total));
-      ctx_->runner()->RunTasks(nchunks, [&](int64_t c) {
+      RunTaskRange(nchunks, [&](int64_t c) {
         const int64_t base = c * chunk;
         const int64_t nb = std::min(chunk, rows - base);
         const int64_t off = offsets[static_cast<size_t>(c)];
@@ -630,17 +675,6 @@ class NodeRunner {
                       out.prov_width > 0 ? out.prov.data() + off : nullptr,
                       data + base * ncols, ncols, nb, mask.data() + base, base);
       });
-    } else {
-      // Filter in chunks: evaluate the predicate column-at-a-time into a
-      // selection mask, then copy survivors in runs.
-      const int64_t chunk = ctx_->batch();
-      std::vector<uint8_t> mask(static_cast<size_t>(std::min(chunk, rows)));
-      for (int64_t base = 0; base < rows; base += chunk) {
-        const int64_t nb = std::min(chunk, rows - base);
-        const Value* chunk_rows = data + base * ncols;
-        EvalPredicateBatch(*node.predicate, chunk_rows, ncols, nb, mask.data());
-        AppendSelected(&out, chunk_rows, ncols, nb, mask.data(), base);
-      }
     }
     st.out_rows = static_cast<double>(out.num_rows());
     return out;
@@ -717,7 +751,7 @@ class NodeRunner {
                                  mask.data());
             }
             AppendSelected(dst, gathered.data(), ncols, nb, mask.data(),
-                           /*base=*/0, rids.data());
+                           rids.data());
           });
       for (const auto& pages : chunk_pages) {
         // Set union: the resulting set (and the page-count counter derived
@@ -748,7 +782,7 @@ class NodeRunner {
                              mask.data());
         }
         AppendSelected(&out, gathered.data(), ncols, nb, mask.data(),
-                       /*base=*/0, rids.data());
+                       rids.data());
       }
     }
     st.actual.ni += static_cast<double>(matches) + std::log2(std::max<double>(2.0, static_cast<double>(n)));
@@ -778,41 +812,20 @@ class NodeRunner {
 
     // Build on the right input. Key hashing shards across the pool; the
     // chain inserts stay in build-row order (one sequential pass), so
-    // every chain lists the same rids in the same order as the sequential
-    // build — which is what keeps the probe output order bit-identical.
-    std::unordered_map<uint64_t, std::vector<uint32_t>> table;
-    table.reserve(static_cast<size_t>(right.num_rows()) * 2 + 16);
-    if (ShouldShard(right.num_rows())) {
-      std::vector<uint64_t> all_hashes(
-          static_cast<size_t>(right.num_rows()));
-      ctx_->runner()->RunTasks(NumChunks(right.num_rows()), [&](int64_t c) {
-        const int64_t base = c * chunk;
-        const int64_t nb = std::min(chunk, right.num_rows() - base);
-        for (int64_t i = 0; i < nb; ++i) {
-          all_hashes[static_cast<size_t>(base + i)] =
-              HashKeys(right.row(base + i), rcols);
-        }
-      });
-      for (int64_t r = 0; r < right.num_rows(); ++r) {
-        table[all_hashes[static_cast<size_t>(r)]].push_back(
-            static_cast<uint32_t>(r));
+    // every chain lists the same rids in the same order at every thread
+    // count — which is what keeps the probe output order bit-identical.
+    const int64_t build_rows = right.num_rows();
+    std::vector<uint64_t> build_hashes(static_cast<size_t>(build_rows));
+    RunTaskRange(NumChunks(build_rows), [&](int64_t c) {
+      const int64_t base = c * chunk;
+      const int64_t nb = std::min(chunk, build_rows - base);
+      for (int64_t i = 0; i < nb; ++i) {
+        build_hashes[static_cast<size_t>(base + i)] =
+            HashKeys(right.row(base + i), rcols);
       }
-      st.actual.no += static_cast<double>(right.num_rows());  // build hash ops
-    } else {
-      std::vector<uint64_t> hashes(static_cast<size_t>(
-          std::min(chunk, std::max<int64_t>(1, right.num_rows()))));
-      for (int64_t base = 0; base < right.num_rows(); base += chunk) {
-        const int64_t nb = std::min(chunk, right.num_rows() - base);
-        for (int64_t i = 0; i < nb; ++i) {
-          hashes[static_cast<size_t>(i)] = HashKeys(right.row(base + i), rcols);
-        }
-        for (int64_t i = 0; i < nb; ++i) {
-          table[hashes[static_cast<size_t>(i)]].push_back(
-              static_cast<uint32_t>(base + i));
-        }
-        st.actual.no += static_cast<double>(nb);  // build-side hash ops
-      }
-    }
+    });
+    const JoinHashTable table(build_hashes);
+    st.actual.no += static_cast<double>(build_rows);  // build hash ops
 
     RowBlock out;
     out.schema = node.output_schema;
@@ -833,11 +846,11 @@ class NodeRunner {
       }
       pst->actual.no += static_cast<double>(nb);  // probe-side hash ops
       for (int64_t i = 0; i < nb; ++i) {
-        auto it = table.find(hashes[static_cast<size_t>(i)]);
-        if (it == table.end()) continue;
+        uint32_t r = table.Head(hashes[static_cast<size_t>(i)]);
+        if (r == JoinHashTable::kNone) continue;
         const int64_t l = base + i;
         const RowRef lrow = left.row(l);
-        for (uint32_t r : it->second) {
+        for (; r != JoinHashTable::kNone; r = table.Next(r)) {
           pst->actual.no += 1.0;  // chain visit / key compare
           if (!KeysEqual(lrow, lcols, right.row(r), rcols)) continue;
           AppendJoinRow(dst, out_cols, left, l, right, r, node, quals, pst);
@@ -862,6 +875,8 @@ class NodeRunner {
           2.0 * (PagesFor(st.left_rows, node.left->output_schema.TupleWidthBytes()) +
                  PagesFor(st.right_rows, node.right->output_schema.TupleWidthBytes()));
     }
+    Retain(*node.left, &left);
+    Retain(*node.right, &right);
     return out;
   }
 
@@ -966,6 +981,8 @@ class NodeRunner {
     }
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
+    Retain(*node.left, &left);
+    Retain(*node.right, &right);
     return out;
   }
 
@@ -1012,6 +1029,8 @@ class NodeRunner {
     }
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
+    Retain(*node.left, &left);
+    Retain(*node.right, &right);
     return out;
   }
 
@@ -1142,6 +1161,7 @@ class NodeRunner {
                                      in.schema.TupleWidthBytes());
     }
     st.out_rows = static_cast<double>(n);
+    Retain(*node.left, &in);
     return out;
   }
 
@@ -1275,6 +1295,7 @@ class NodeRunner {
     }
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
+    Retain(*node.left, &in);
     return out;
   }
 
@@ -1293,6 +1314,11 @@ class NodeRunner {
                                      in.schema.TupleWidthBytes());
     }
     st.out_rows = static_cast<double>(in.num_rows());
+    // The input is also this operator's output, so its retained copy is
+    // the one block retention still copies below the root.
+    if (retained_ != nullptr) {
+      (*retained_)[static_cast<size_t>(node.left->id)] = in;
+    }
     return in;
   }
 
@@ -1331,6 +1357,8 @@ StatusOr<ExecResult> Executor::Execute(const Plan& plan,
   NodeRunner runner(&ctx, options.retain_intermediates ? &result.blocks : nullptr);
   UQP_ASSIGN_OR_RETURN(RowBlock output, runner.Run(*plan.root()));
 
+  // Parents retain their children's blocks; the root has no parent.
+  if (options.retain_intermediates) result.blocks[0] = output;
   result.output = std::move(output);
   result.ops = ctx.TakeStats();
   // Fill leaf-row products per node from the bound source tables.

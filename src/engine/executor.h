@@ -139,8 +139,11 @@ struct ExecOptions {
   /// the base table — this is how the estimator runs the plan over sample
   /// tables, binding a distinct sample per leaf occurrence.
   const std::vector<const Table*>* leaf_overrides = nullptr;
-  /// Keep a copy of every operator's output block (sampling-estimation
-  /// runs post-process them into the Q_{k,j,n} counters).
+  /// Keep every operator's output block in ExecResult::blocks (sampling-
+  /// estimation runs post-process them into the Q_{k,j,n} counters). Each
+  /// parent moves its children's blocks there once it has read them, so
+  /// retention copies only a materialize's input (which is also its
+  /// output) and the root's output.
   bool retain_intermediates = false;
   /// Rows per inner-loop chunk: filters and join probes process their
   /// input in RowBlock chunks of at most this many rows (vectorized-style

@@ -147,14 +147,20 @@ bool FamilyRegistry::OnStageResult(uint64_t fingerprint, bool ok) {
   if (!breaker_enabled()) return false;
   Shard& shard = ShardFor(fingerprint);
   MutexLock lock(&shard.mu);
-  Family& f = shard.families[fingerprint];
   if (ok) {
+    // A success only resets a family that already has a record (one that
+    // failed, opened or reported); a never-failed plan leaves no row, so
+    // the table does not grow with every distinct plan predicted.
+    const auto it = shard.families.find(fingerprint);
+    if (it == shard.families.end()) return false;
+    Family& f = it->second;
     f.state = BreakerState::kClosed;
     f.consecutive_failures = 0;
     f.sheds_since_open = 0;
     f.probe_inflight = false;
     return false;
   }
+  Family& f = shard.families[fingerprint];
   ++f.consecutive_failures;
   const bool was_half_open = f.state == BreakerState::kHalfOpen;
   f.probe_inflight = false;

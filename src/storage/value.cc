@@ -43,36 +43,13 @@ int64_t Value::AsInt64() const {
   return i;
 }
 
-double Value::AsDouble() const {
-  switch (type) {
-    case ValueType::kInt64:
-      return static_cast<double>(i);
-    case ValueType::kDouble:
-      return d;
-    case ValueType::kString:
-      UQP_CHECK(false) << "string value is not numeric";
-  }
-  return 0.0;
+void Value::NotNumeric() {
+  UQP_CHECK(false) << "string value is not numeric";
 }
 
 const std::string& Value::AsString() const {
   UQP_DCHECK(type == ValueType::kString);
   return StringPool::Global().Lookup(s);
-}
-
-bool Value::Equals(const Value& o) const {
-  if (type == ValueType::kString || o.type == ValueType::kString) {
-    return type == o.type && s == o.s;
-  }
-  return AsDouble() == o.AsDouble();
-}
-
-int Value::Compare(const Value& o) const {
-  const double a = AsDouble();
-  const double b = o.AsDouble();
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
 }
 
 uint64_t Value::Hash() const {

@@ -71,20 +71,40 @@ struct Value {
   }
 
   int64_t AsInt64() const;
-  /// Numeric coercion: int64 promotes to double.
-  double AsDouble() const;
+  /// Numeric coercion: int64 promotes to double; a string aborts.
+  double AsDouble() const {
+    if (type == ValueType::kDouble) return d;
+    if (type == ValueType::kInt64) return static_cast<double>(i);
+    NotNumeric();
+  }
   const std::string& AsString() const;
 
   /// Total order within a type: numeric order for numbers, pool-id equality
   /// semantics for strings (string ordering is only used for equality and
   /// hashing; range predicates are restricted to numeric columns).
-  bool Equals(const Value& o) const;
+  bool Equals(const Value& o) const {
+    if (type == ValueType::kString || o.type == ValueType::kString) {
+      return type == o.type && s == o.s;
+    }
+    return AsDouble() == o.AsDouble();
+  }
   /// Numeric-only three-way comparison; both values must be numeric.
-  int Compare(const Value& o) const;
+  int Compare(const Value& o) const {
+    const double a = AsDouble();
+    const double b = o.AsDouble();
+    if (a < b) return -1;
+    if (a > b) return 1;
+    return 0;
+  }
 
   uint64_t Hash() const;
 
   std::string ToString() const;
+
+ private:
+  /// Out of line so the numeric accessors above stay small enough to
+  /// inline into every per-cell loop.
+  [[noreturn]] static void NotNumeric();
 };
 
 static_assert(sizeof(Value) == 16, "Value must stay a compact 16-byte cell");

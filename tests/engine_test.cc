@@ -7,7 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "datagen/tpch.h"
 #include "engine/cardinality.h"
 #include "engine/executor.h"
 #include "engine/plan.h"
@@ -163,10 +167,11 @@ TEST(Executor, IndexScanResidualBatchParity) {
 }
 
 TEST(Executor, AppendSelectedProvenanceModesBatchParity) {
-  // AppendSelected serves both provenance modes: contiguous chunks (seq
-  // scans, ids = base + lane) and gathered rows (index scans, ids from
-  // the rid array). Both modes must produce identical rows, provenance
-  // and counters at every batch size, with provenance on and off.
+  // The selected-row copies serve both provenance modes: contiguous
+  // chunks (seq scans, ids = base + lane) and gathered rows (index scans,
+  // ids from the rid array). Both modes must produce identical rows,
+  // provenance and counters at every batch size, with provenance on and
+  // off.
   Database db = MakeTestDb();
   ExprPtr pred = Expr::And(Expr::Cmp(1, CmpOp::kLe, Value::Double(97.0)),
                            Expr::StrEq(2, "x"));
@@ -526,6 +531,240 @@ TEST(Executor, LeafOverrideCountMismatchFails) {
   options.leaf_overrides = &overrides;
   Executor executor(&db);
   EXPECT_FALSE(executor.Execute(plan, options).ok());
+}
+
+// ---------- Golden digest and retention ----------
+
+const Database& TinyTpch() {
+  static const Database* db =
+      new Database(MakeTpchDatabase(TpchConfig::Profile("tiny")));
+  return *db;
+}
+
+/// FNV-1a over everything an execution produces that later stages read.
+/// String cells hash by content, so the digest does not depend on the
+/// order strings were interned in.
+class ExecDigest {
+ public:
+  uint64_t value() const { return h_; }
+
+  void Add(const RowBlock& b) {
+    Pod(b.num_rows());
+    Pod(b.schema.num_columns());
+    for (const Value& v : b.values) Add(v);
+    Pod(b.prov_width);
+    Pod(b.prov.size());
+    Bytes(b.prov.data(), b.prov.size() * sizeof(uint32_t));
+  }
+
+  void Add(const OpStats& s) {
+    Pod(s.id);
+    Pod(static_cast<int>(s.type));
+    for (double d : {s.actual.ns, s.actual.nr, s.actual.nt, s.actual.ni,
+                     s.actual.no, s.left_rows, s.right_rows, s.out_rows,
+                     s.leaf_row_product}) {
+      Pod(d);
+    }
+  }
+
+ private:
+  void Add(const Value& v) {
+    Pod(static_cast<uint8_t>(v.type));
+    switch (v.type) {
+      case ValueType::kInt64:
+        Pod(v.i);
+        break;
+      case ValueType::kDouble:
+        Pod(v.d);
+        break;
+      case ValueType::kString: {
+        const std::string& s = v.AsString();
+        Pod(s.size());
+        Bytes(s.data(), s.size());
+        break;
+      }
+    }
+  }
+  template <typename T>
+  void Pod(const T& v) {
+    Bytes(&v, sizeof(v));
+  }
+  void Bytes(const void* p, size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= c[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Plans over the tiny TPC-H profile that between them run every operator
+/// and the predicate shapes the batched paths special-case.
+std::vector<Plan> GoldenPlans() {
+  std::vector<std::unique_ptr<PlanNode>> roots;
+  // Filtered scan with AND / OR / NOT over lineitem:
+  // (l_quantity < 10 OR l_returnflag = 'R') AND NOT l_linenumber > 3.
+  roots.push_back(MakeSeqScan(
+      "lineitem",
+      Expr::And(Expr::Or(Expr::Cmp(4, CmpOp::kLt, Value::Double(10)),
+                         Expr::StrEq(8, "R")),
+                Expr::Not(Expr::Cmp(3, CmpOp::kGt, Value::Int64(3))))));
+  // Index scan with a residual filter.
+  roots.push_back(MakeIndexScan(
+      "orders", 3,
+      Expr::And(Expr::Between(3, Value::Double(1000), Value::Double(120000)),
+                Expr::StrEq(2, "F"))));
+  // Hash join on a two-column key (partkey, suppkey) whose build side
+  // (lineitem) repeats keys, with a residual
+  // ps_supplycost < 500 OR ps_availqty < l_extendedprice.
+  roots.push_back(MakeHashJoin(
+      MakeSeqScan("partsupp", nullptr),
+      MakeSeqScan("lineitem", Expr::Cmp(3, CmpOp::kLe, Value::Int64(2))),
+      {{0, 1}, {1, 2}},
+      Expr::Or(Expr::Cmp(3, CmpOp::kLt, Value::Double(500)),
+               Expr::CmpColumns(2, CmpOp::kLt, 9))));
+  // Sort over an aggregate over a hash join whose build side is a
+  // materialized filter of orders (many orders per customer key).
+  roots.push_back(MakeSort(
+      MakeAggregate(
+          MakeHashJoin(MakeSeqScan("customer", nullptr),
+                       MakeMaterialize(MakeSeqScan(
+                           "orders",
+                           Expr::Cmp(3, CmpOp::kLt, Value::Double(200000)))),
+                       {{0, 1}}),
+          {3}, {{AggSpec::Kind::kCount, -1, "cnt"},
+                {AggSpec::Kind::kSum, 8, "total"}}),
+      {1}));
+  // Merge join of two sorted inputs, one-to-many on orderkey.
+  roots.push_back(MakeMergeJoin(
+      MakeSort(MakeSeqScan("orders", nullptr), {0}),
+      MakeSort(MakeSeqScan("lineitem",
+                           Expr::Cmp(4, CmpOp::kLt, Value::Double(25))),
+               {0}),
+      {{0, 0}}));
+  // Nest-loop join on n_regionkey = r_regionkey with a residual.
+  roots.push_back(MakeNestLoopJoin(
+      MakeSeqScan("nation", nullptr), MakeSeqScan("region", nullptr), {{2, 0}},
+      Expr::Not(Expr::Cmp(3, CmpOp::kEq, Value::Int64(3)))));
+  // Sort on a string column, then a double.
+  roots.push_back(MakeSort(MakeSeqScan("customer", nullptr), {3, 4}));
+  // Aggregate with every function kind over a string-pair group key.
+  roots.push_back(MakeAggregate(
+      MakeSeqScan("lineitem", nullptr), {8, 9},
+      {{AggSpec::Kind::kCount, -1, "cnt"},
+       {AggSpec::Kind::kSum, 5, "sum_price"},
+       {AggSpec::Kind::kMin, 4, "min_qty"},
+       {AggSpec::Kind::kMax, 6, "max_disc"},
+       {AggSpec::Kind::kAvg, 7, "avg_tax"}}));
+  std::vector<Plan> plans;
+  for (auto& root : roots) {
+    Plan plan(std::move(root));
+    EXPECT_TRUE(plan.Finalize(TinyTpch()).ok()) << plan.ToString();
+    plans.push_back(std::move(plan));
+  }
+  return plans;
+}
+
+ExecOptions GoldenOptions(int num_threads) {
+  ExecOptions options;
+  options.collect_provenance = true;
+  options.retain_intermediates = true;
+  options.max_batch_size = 256;  // several chunks per big input
+  options.num_threads = num_threads;
+  return options;
+}
+
+// Pins the engine's observable behaviour across versions: output rows,
+// provenance, retained blocks and every OpStats counter of a fixed plan
+// set. The thread-count parity suites compare runs of one build against
+// each other, so a change that moves every thread count alike passes
+// them; this digest was recorded from the executor before the flat
+// hash-join table, the single sized scan path and move-based retention,
+// and it must not change when the engine is only made faster.
+TEST(Executor, GoldenDigestOverTinyProfile) {
+  constexpr uint64_t kGolden = 0x657410015883baf4ULL;
+  const std::vector<Plan> plans = GoldenPlans();
+  ASSERT_EQ(plans.size(), 8u);
+  Executor executor(&TinyTpch());
+  for (int threads : {1, 3}) {
+    ExecDigest digest;
+    for (const Plan& plan : plans) {
+      auto result = executor.Execute(plan, GoldenOptions(threads));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_GT(result->output.num_rows(), 0) << plan.ToString();
+      digest.Add(result->output);
+      for (const OpStats& s : result->ops) digest.Add(s);
+      for (const RowBlock& b : result->blocks) digest.Add(b);
+    }
+    EXPECT_EQ(digest.value(), kGolden)
+        << "num_threads=" << threads << " digest 0x" << std::hex
+        << digest.value();
+  }
+}
+
+bool SameBlock(const RowBlock& a, const RowBlock& b) {
+  if (a.schema.num_columns() != b.schema.num_columns() ||
+      a.values.size() != b.values.size() || a.prov_width != b.prov_width ||
+      a.prov != b.prov) {
+    return false;
+  }
+  for (size_t i = 0; i < a.values.size(); ++i) {
+    // The int64 member spans the whole union, so this compares bits.
+    if (a.values[i].type != b.values[i].type ||
+        a.values[i].i != b.values[i].i) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Each parent hands its children's blocks to ExecResult::blocks once it
+// has read them; the retained block of every operator must still equal
+// what that operator's subtree produces when executed on its own.
+TEST(Executor, RetainedBlocksEqualSubtreeOutputs) {
+  const Database& db = TinyTpch();
+  Plan plan(MakeSort(
+      MakeHashJoin(MakeSeqScan("customer",
+                               Expr::Cmp(4, CmpOp::kGt, Value::Double(0))),
+                   MakeMaterialize(MakeSeqScan(
+                       "orders", Expr::StrEq(2, "F"))),
+                   {{0, 1}}),
+      {2, 0}));
+  ASSERT_TRUE(plan.Finalize(db).ok());
+  Executor executor(&db);
+  for (int threads : {1, 3}) {
+    const ExecOptions options = GoldenOptions(threads);
+    auto result = executor.Execute(plan, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->blocks.size(), 5u);
+    EXPECT_TRUE(SameBlock(result->blocks[0], result->output));
+    for (const PlanNode* node : plan.NodesPreorder()) {
+      Plan sub(ClonePlanTree(*node));
+      ASSERT_TRUE(sub.Finalize(db).ok());
+      auto alone = executor.Execute(sub, options);
+      ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+      EXPECT_GT(alone->output.num_rows(), 0) << "operator " << node->id;
+      EXPECT_TRUE(SameBlock(
+          result->blocks[static_cast<size_t>(node->id)], alone->output))
+          << "operator " << node->id << " at num_threads=" << threads;
+    }
+  }
+}
+
+// ---------- Numeric accessors ----------
+
+TEST(ValueDeathTest, StringIsNotNumeric) {
+  EXPECT_DEATH(Value::String("x").AsDouble(), "not numeric");
+}
+
+TEST(ValueDeathTest, RangePredicateOverStringColumnAborts) {
+  const std::vector<Value> rows = {Value::String("x"), Value::String("y")};
+  std::vector<uint8_t> mask(rows.size());
+  const ExprPtr lt = Expr::Cmp(0, CmpOp::kLt, Value::Int64(1));
+  EXPECT_DEATH(EvalPredicateBatch(*lt, rows.data(), 1, 2, mask.data()),
+               "not numeric");
 }
 
 // ---------- Plan validation ----------

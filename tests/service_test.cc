@@ -2014,8 +2014,8 @@ TEST_F(ServiceTest, FamilyRowCarriesFeedbackWindowAndBreakerState) {
 
 TEST_F(ServiceTest, ReportObservedIsNoOpWhenOnlyTheBreakerIsOn) {
   // The family table exists for the breaker alone, but with feedback
-  // disabled a report must neither count nor touch the family's record
-  // (which the successful stage run created for the breaker).
+  // disabled a report must neither count nor create a family record (a
+  // successful stage run creates none either).
   ServiceOptions options;
   options.num_workers = 1;
   options.breaker.failure_threshold = 2;
@@ -2027,12 +2027,47 @@ TEST_F(ServiceTest, ReportObservedIsNoOpWhenOnlyTheBreakerIsOn) {
   EXPECT_EQ(st.feedback_reports, 0u);
   EXPECT_EQ(st.feedback_dropped, 0u);
   EXPECT_EQ(st.feedback_families, 0u);
+  EXPECT_TRUE(service.FeedbackSnapshot().empty());
+}
+
+TEST_F(ServiceTest, BreakerKeepsNoRowForFamiliesThatNeverFailed) {
+  // With the breaker on, a success resets a family that already has a
+  // record but never creates one: many distinct plans that never fail
+  // leave the family table empty, while a family that failed once and
+  // then recovered keeps its (closed) row.
+  std::vector<Plan> plans;
+  for (int i = 0; i < 50; ++i) {
+    Plan plan(MakeSeqScan(
+        "orders",
+        Expr::Cmp(3, CmpOp::kLt, Value::Double(5000.0 * (i + 1)))));
+    ASSERT_TRUE(plan.Finalize(*db_).ok());
+    plans.push_back(std::move(plan));
+  }
+  const uint64_t fp = PlanFingerprint((*plans_)[0]);
+  ScheduledFaultOptions fopts;
+  FaultRule rule;
+  rule.fail_attempts = 1;  // attempt 0 fails, attempt 1 recovers
+  fopts.rules[fp] = rule;
+  ScheduledFaultInjector injector(fopts);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &injector;
+  options.breaker.failure_threshold = 2;
+  PredictionService service(db_, samples_, *units_, options);
+
+  for (const Plan& plan : plans) {
+    ASSERT_TRUE(service.Predict(plan).ok());
+  }
+  EXPECT_TRUE(service.FeedbackSnapshot().empty());
+
+  EXPECT_FALSE(service.Predict((*plans_)[0]).ok());
+  ASSERT_TRUE(service.Predict((*plans_)[0]).ok());
   const std::vector<FamilyFeedback> rows = service.FeedbackSnapshot();
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].reports, 0u);
-  EXPECT_TRUE(rows[0].window.empty());
-  EXPECT_FALSE(rows[0].stash.valid);
+  EXPECT_EQ(rows[0].fingerprint, fp);
   EXPECT_STREQ(rows[0].breaker_state, "closed");
+  EXPECT_EQ(rows[0].breaker_consecutive_failures, 0);
+  EXPECT_EQ(rows[0].breaker_opens, 0u);
 }
 
 }  // namespace
