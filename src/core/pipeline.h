@@ -35,8 +35,8 @@ struct PredictorOptions {
   /// shards every operator — scans, hash-join builds/probes, join
   /// subtrees, sort leaf blocks + merge levels, aggregation chunk tables,
   /// merge-join group emission — across a task pool, and the estimator
-  /// merges per-shard selectivity counts in shard order. 1 = sequential
-  /// (the historical path), <= 0 = hardware concurrency. The determinism
+  /// merges per-shard selectivity counts in shard order. 1 runs the same
+  /// loops inline, task by task; <= 0 = hardware concurrency. The determinism
   /// contract, enforced by tests/parallel_parity_test.cc: the
   /// SampleRunOutput — and hence every prediction — is bit-identical at
   /// every value.

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,6 +15,24 @@ int ResolveNumThreads(int num_threads) {
   if (num_threads > 0) return num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::max(1u, hw));
+}
+
+ScopedTaskRunner::ScopedTaskRunner(int num_threads, TaskRunner* runner)
+    : threads_(ResolveNumThreads(num_threads)),
+      pool_(threads_ > 1 ? runner : nullptr) {
+  if (threads_ > 1 && pool_ == nullptr) {
+    owned_ = std::make_unique<MorselPool>(threads_);
+    pool_ = owned_.get();
+  }
+}
+
+void ScopedTaskRunner::RunTasks(int64_t n,
+                                const std::function<void(int64_t)>& fn) const {
+  if (pool_ != nullptr && n > 1) {
+    pool_->RunTasks(n, fn);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) fn(i);
 }
 
 /// Shared pull-state of one RunTasks call: threads claim indexes from
@@ -236,37 +253,17 @@ struct GroupTable {
   std::vector<GroupAccumulator> groups;
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;  ///< hash -> idx
 
-  GroupAccumulator* FindByRow(uint64_t h, RowRef row,
-                              const std::vector<int>& group_cols) {
+  /// The group with key hash `h` whose g-th key value equals `key(g)` for
+  /// every g in [0, width), or null.
+  template <typename KeyFn>
+  GroupAccumulator* Find(uint64_t h, size_t width, const KeyFn& key) {
     auto it = buckets.find(h);
     if (it == buckets.end()) return nullptr;
     for (uint32_t idx : it->second) {
       GroupAccumulator& cand = groups[idx];
-      bool same = true;
-      for (size_t g = 0; g < group_cols.size(); ++g) {
-        if (!cand.group_values[g].Equals(row[group_cols[g]])) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return &cand;
-    }
-    return nullptr;
-  }
-
-  GroupAccumulator* FindByAcc(const GroupAccumulator& key) {
-    auto it = buckets.find(key.hash);
-    if (it == buckets.end()) return nullptr;
-    for (uint32_t idx : it->second) {
-      GroupAccumulator& cand = groups[idx];
-      bool same = true;
-      for (size_t g = 0; g < key.group_values.size(); ++g) {
-        if (!cand.group_values[g].Equals(key.group_values[g])) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return &cand;
+      size_t g = 0;
+      while (g < width && cand.group_values[g].Equals(key(g))) ++g;
+      if (g == width) return &cand;
     }
     return nullptr;
   }
@@ -281,7 +278,7 @@ struct GroupTable {
 class ExecContext {
  public:
   ExecContext(const Database* db, const ExecOptions& options, int num_operators,
-              int num_leaves, TaskRunner* runner)
+              int num_leaves, const ScopedTaskRunner& runner)
       : db_(db), options_(options), runner_(runner) {
     stats_.resize(static_cast<size_t>(num_operators));
     leaf_source_rows_.resize(static_cast<size_t>(num_leaves), 1.0);
@@ -319,10 +316,7 @@ class ExecContext {
     return false;
   }
 
-  /// Intra-query fan-out is on: shard chunked loops and join children
-  /// across the task runner.
-  bool parallel() const { return runner_ != nullptr; }
-  TaskRunner* runner() const { return runner_; }
+  const ScopedTaskRunner& runner() const { return runner_; }
 
   OpStats& stats(const PlanNode& node) {
     return stats_[static_cast<size_t>(node.id)];
@@ -342,7 +336,7 @@ class ExecContext {
  private:
   const Database* db_;
   const ExecOptions& options_;
-  TaskRunner* runner_;
+  const ScopedTaskRunner& runner_;
   std::atomic<bool> cancel_seen_{false};
   std::vector<OpStats> stats_;
   std::vector<double> leaf_source_rows_;
@@ -424,65 +418,48 @@ class NodeRunner {
 
   // ----- intra-query sharding helpers -------------------------------------
   //
-  // Sharded loops fan out one task per max_batch_size-row chunk (or per
-  // emission group batch); results merge in task order. That makes the
-  // parallel run bit-identical to the sequential one: the sequential loop
-  // processes the same work units in the same order, and every counter a
-  // task accumulates is an integer-valued count (hash ops, chain visits,
-  // qual evaluations, sort comparisons), so summing per-task partials
-  // regroups the same double additions exactly.
-  //
-  // Output assembly is two-pass: a compute pass materializes per-task
-  // results, a sizing step derives exact prefix offsets, and a placement
-  // pass writes every task's rows in place into the pre-sized output —
-  // disjoint spans, written concurrently, no sequential merge copy.
+  // Every sharded loop has one body, a task: one max_batch_size-row chunk
+  // (or one batch of merge-join groups). The same tasks run at every
+  // thread count: inline in task order when there is no pool, on the pool
+  // otherwise, and their outputs land in task order either way. Every
+  // counter a task accumulates is an integer-valued count (hash ops,
+  // chain visits, qual evaluations, sort comparisons), so summing
+  // per-task partials regroups the same double additions exactly, and the
+  // run is bit-identical at every thread count. Each task re-probes the
+  // cancellation token before its body, so a run past its deadline stops
+  // within one task of the expiry.
 
   int64_t NumChunks(int64_t total) const {
     const int64_t chunk = ctx_->batch();
     return (total + chunk - 1) / chunk;
   }
 
-  /// True when this loop of `total` rows should fan out (pool present and
-  /// more than one chunk to hand out).
-  bool ShouldShard(int64_t total) const {
-    return ctx_->parallel() && NumChunks(total) >= 2;
-  }
-
-  /// Runs task indexes [0, n) — on the pool when intra-query parallelism
-  /// is on and there is more than one task, inline otherwise. Either way
-  /// the task decomposition (and hence every per-task counter) is
-  /// identical; only the dispatch differs.
+  /// Runs task indexes [0, n), skipping every body once the run is
+  /// cancelled.
   void RunTaskRange(int64_t n, const std::function<void(int64_t)>& fn) {
-    // Morsel-boundary cancellation: each shard re-probes the token before
-    // its body, so a request past its deadline stops consuming pool time
-    // within one morsel of the expiry — without interrupting a shard that
-    // is already running.
-    const auto guarded = [&](int64_t t) {
-      if (ctx_->Cancelled()) return;
-      fn(t);
-    };
-    if (ctx_->parallel() && n >= 2) {
-      ctx_->runner()->RunTasks(n, guarded);
-    } else {
-      for (int64_t t = 0; t < n; ++t) guarded(t);
-    }
+    ctx_->runner().RunTasks(n, [&](int64_t t) {
+      if (!ctx_->Cancelled()) fn(t);
+    });
   }
 
-  /// Runs `task_fn(t, local_block, local_stats)` for every task in
-  /// [0, ntasks) across the pool, then assembles the output two-pass:
-  /// exact per-task offsets are prefix-summed, `out` is resized once, and
-  /// every task's rows are placed in-place — concurrently, into disjoint
-  /// spans — instead of being merge-copied one task at a time.
-  void RunShardedTasks(
-      int64_t ntasks, RowBlock* out, OpStats* st,
-      const std::function<void(int64_t, RowBlock*, OpStats*)>& task_fn) {
+  /// Runs `task_fn(t, block, stats)` for every task t in [0, ntasks) and
+  /// appends the tasks' rows to `out` and their counters to `st` in task
+  /// order. Without a pool (or with one task) every task appends straight
+  /// into `out` and `st`. With a pool the output is assembled two-pass:
+  /// tasks fill private blocks, exact per-task offsets are prefix-summed,
+  /// `out` is resized once, and every task's rows are placed in-place —
+  /// concurrently, into disjoint spans — with no merge copy. A cancelled
+  /// run leaves a partial `out` behind; Run discards it at the operator
+  /// boundary, so no partial block escapes.
+  void EmitTasks(int64_t ntasks, RowBlock* out, OpStats* st,
+                 const std::function<void(int64_t, RowBlock*, OpStats*)>& task_fn) {
+    if (ctx_->runner().pool() == nullptr || ntasks < 2) {
+      RunTaskRange(ntasks, [&](int64_t t) { task_fn(t, out, st); });
+      return;
+    }
     std::vector<RowBlock> blocks(static_cast<size_t>(ntasks));
     std::vector<OpStats> partials(static_cast<size_t>(ntasks));
-    ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
-      // Morsel-boundary cancellation (see RunTaskRange): a cancelled
-      // compute pass leaves empty locals; the run's output is discarded
-      // at the next operator boundary, so no partial block escapes.
-      if (ctx_->Cancelled()) return;
+    RunTaskRange(ntasks, [&](int64_t t) {
       RowBlock& local = blocks[static_cast<size_t>(t)];
       local.prov_width = out->prov_width;
       task_fn(t, &local, &partials[static_cast<size_t>(t)]);
@@ -501,7 +478,7 @@ class NodeRunner {
     out->values.resize(vbase + voff[static_cast<size_t>(ntasks)]);
     out->prov.resize(pbase + poff[static_cast<size_t>(ntasks)]);
     // Placement: every task writes its span of the pre-sized output.
-    ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
+    ctx_->runner().RunTasks(ntasks, [&](int64_t t) {
       const RowBlock& b = blocks[static_cast<size_t>(t)];
       std::copy(b.values.begin(), b.values.end(),
                 out->values.begin() + vbase + voff[static_cast<size_t>(t)]);
@@ -511,21 +488,6 @@ class NodeRunner {
     for (int64_t t = 0; t < ntasks; ++t) {
       st->actual += partials[static_cast<size_t>(t)].actual;
     }
-  }
-
-  /// Row-chunk flavor of RunShardedTasks: one task per max_batch_size-row
-  /// chunk of [0, total), `chunk_fn(base, nb, local_block, local_stats)`.
-  void RunChunksParallel(
-      int64_t total, RowBlock* out, OpStats* st,
-      const std::function<void(int64_t, int64_t, RowBlock*, OpStats*)>&
-          chunk_fn) {
-    const int64_t chunk = ctx_->batch();
-    RunShardedTasks(NumChunks(total), out, st,
-                    [&](int64_t c, RowBlock* local, OpStats* pst) {
-                      const int64_t base = c * chunk;
-                      const int64_t nb = std::min(chunk, total - base);
-                      chunk_fn(base, nb, local, pst);
-                    });
   }
 
   /// In-place flavor of AppendSelected for a contiguous chunk of source
@@ -556,29 +518,24 @@ class NodeRunner {
     }
   }
 
-  /// Runs both children of a binary operator, concurrently when the
-  /// intra-query pool is on (independent subtrees touch disjoint stats /
-  /// retained-block slots). Errors keep the sequential precedence: the
-  /// left child's status wins.
+  /// Runs both children of a binary operator: left then right inline, or
+  /// concurrently on the pool (independent subtrees touch disjoint stats /
+  /// retained-block slots). The left child's status wins. Run's own entry
+  /// check covers cancellation, so this dispatch has no per-task guard.
   Status RunChildren(const PlanNode& node, RowBlock* left, RowBlock* right) {
-    if (ctx_->parallel()) {
-      StatusOr<RowBlock> l = Status::Internal("left child did not run");
-      StatusOr<RowBlock> r = Status::Internal("right child did not run");
-      ctx_->runner()->RunTasks(2, [&](int64_t i) {
-        if (i == 0) {
-          l = Run(*node.left);
-        } else {
-          r = Run(*node.right);
-        }
-      });
-      if (!l.ok()) return l.status();
-      if (!r.ok()) return r.status();
-      *left = std::move(l).value();
-      *right = std::move(r).value();
-      return Status::OK();
-    }
-    UQP_ASSIGN_OR_RETURN(*left, Run(*node.left));
-    UQP_ASSIGN_OR_RETURN(*right, Run(*node.right));
+    StatusOr<RowBlock> l = Status::Internal("left child did not run");
+    StatusOr<RowBlock> r = Status::Internal("right child did not run");
+    ctx_->runner().RunTasks(2, [&](int64_t i) {
+      if (i == 0) {
+        l = Run(*node.left);
+      } else {
+        r = Run(*node.right);
+      }
+    });
+    if (!l.ok()) return l.status();
+    if (!r.ok()) return r.status();
+    *left = std::move(l).value();
+    *right = std::move(r).value();
     return Status::OK();
   }
 
@@ -714,8 +671,7 @@ class NodeRunner {
     out.schema = node.output_schema;
     out.prov_width = ctx_->prov() ? 1 : 0;
     const int quals = PredicateOpCount(node.predicate.get());
-    std::unordered_set<int64_t> pages_touched;
-    const int64_t rows_per_page = src.rows_per_page();
+    const int64_t chunk = ctx_->batch();
     const int64_t matches = end_it - begin_it;
     const int ncols = out.schema.num_columns();
     const bool residual = !pure && node.predicate != nullptr;
@@ -723,70 +679,41 @@ class NodeRunner {
     // Gather matched rows a chunk at a time into a contiguous block, then
     // run the residual filter column-at-a-time over the chunk and bulk-copy
     // survivor runs (mirroring the seq-scan/hash-join batched inner loops).
-    if (ShouldShard(matches)) {
-      // Morsel-parallel gather: chunks index the ordered-index range
-      // directly; per-chunk page sets union into one set (same size in any
-      // order), and chunk outputs merge in chunk order.
-      std::vector<std::unordered_set<int64_t>> chunk_pages(
-          static_cast<size_t>(NumChunks(matches)));
-      const int64_t chunk = ctx_->batch();
-      RunChunksParallel(
-          matches, &out, &st,
-          [&](int64_t base, int64_t nb, RowBlock* dst, OpStats*) {
-            std::unordered_set<int64_t>& pages =
-                chunk_pages[static_cast<size_t>(base / chunk)];
-            std::vector<Value> gathered(static_cast<size_t>(nb * ncols));
-            std::vector<uint32_t> rids(static_cast<size_t>(nb));
-            std::vector<uint8_t> mask(static_cast<size_t>(nb), 1);
-            for (int64_t i = 0; i < nb; ++i) {
-              const uint32_t rid = *(begin_it + base + i);
-              pages.insert(static_cast<int64_t>(rid) / rows_per_page);
-              const RowRef row = src.row(rid);
-              std::copy(row.data, row.data + ncols,
-                        gathered.begin() + i * ncols);
-              rids[static_cast<size_t>(i)] = rid;
-            }
-            if (residual) {
-              EvalPredicateBatch(*node.predicate, gathered.data(), ncols, nb,
-                                 mask.data());
-            }
-            AppendSelected(dst, gathered.data(), ncols, nb, mask.data(),
-                           rids.data());
-          });
-      for (const auto& pages : chunk_pages) {
-        // Set union: the resulting set (and the page-count counter derived
-        // from its size) is the same whatever order the per-chunk sets
-        // merge in.
-        // det-lint: order-independent
-        pages_touched.insert(pages.begin(), pages.end());
-      }
-    } else {
-      const int64_t chunk =
-          std::min<int64_t>(ctx_->batch(), std::max<int64_t>(1, matches));
-      std::vector<Value> gathered(static_cast<size_t>(chunk * ncols));
-      std::vector<uint32_t> rids(static_cast<size_t>(chunk));
-      std::vector<uint8_t> mask(static_cast<size_t>(chunk), 1);
-      auto it = begin_it;
-      for (int64_t base = 0; base < matches; base += chunk) {
-        const int64_t nb = std::min(chunk, matches - base);
-        for (int64_t i = 0; i < nb; ++i, ++it) {
-          const uint32_t rid = *it;
-          pages_touched.insert(static_cast<int64_t>(rid) / rows_per_page);
-          const RowRef row = src.row(rid);
-          std::copy(row.data, row.data + ncols, gathered.begin() + i * ncols);
-          rids[static_cast<size_t>(i)] = rid;
-        }
-        if (residual) {
-          // Residual filter: re-evaluate the full predicate on fetched rows.
-          EvalPredicateBatch(*node.predicate, gathered.data(), ncols, nb,
-                             mask.data());
-        }
-        AppendSelected(&out, gathered.data(), ncols, nb, mask.data(),
-                       rids.data());
-      }
+    // Chunks index the ordered-index range directly.
+    EmitTasks(NumChunks(matches), &out, &st,
+              [&](int64_t c, RowBlock* dst, OpStats*) {
+                const int64_t base = c * chunk;
+                const int64_t nb = std::min(chunk, matches - base);
+                std::vector<Value> gathered(static_cast<size_t>(nb * ncols));
+                std::vector<uint32_t> rids(static_cast<size_t>(nb));
+                std::vector<uint8_t> mask(static_cast<size_t>(nb), 1);
+                for (int64_t i = 0; i < nb; ++i) {
+                  const uint32_t rid = *(begin_it + base + i);
+                  const RowRef row = src.row(rid);
+                  std::copy(row.data, row.data + ncols,
+                            gathered.begin() + i * ncols);
+                  rids[static_cast<size_t>(i)] = rid;
+                }
+                if (residual) {
+                  // Residual filter: re-evaluate the full predicate.
+                  EvalPredicateBatch(*node.predicate, gathered.data(), ncols,
+                                     nb, mask.data());
+                }
+                AppendSelected(dst, gathered.data(), ncols, nb, mask.data(),
+                               rids.data());
+              });
+    // Distinct heap pages the matches touch, counted in one pass.
+    const int64_t rows_per_page = src.rows_per_page();
+    std::vector<bool> page_seen(
+        static_cast<size_t>((n + rows_per_page - 1) / rows_per_page));
+    int64_t pages_touched = 0;
+    for (auto it = begin_it; it != end_it; ++it) {
+      const size_t page = static_cast<size_t>(*it / rows_per_page);
+      pages_touched += page_seen[page] ? 0 : 1;
+      page_seen[page] = true;
     }
     st.actual.ni += static_cast<double>(matches) + std::log2(std::max<double>(2.0, static_cast<double>(n)));
-    st.actual.nr += static_cast<double>(pages_touched.size());
+    st.actual.nr += static_cast<double>(pages_touched);
     st.actual.nt += static_cast<double>(matches);
     st.actual.no += static_cast<double>(matches) * quals;
     st.out_rows = static_cast<double>(out.num_rows());
@@ -833,13 +760,12 @@ class NodeRunner {
     const int quals = PredicateOpCount(node.predicate.get());
     const int out_cols = out.schema.num_columns();
     // Probe in chunks: hash a chunk of probe keys, then walk the chains,
-    // assembling join rows directly in the chunk's output block. The same
-    // body serves both modes; sequentially it appends straight into `out`
-    // chunk by chunk, in parallel each chunk fills a private block and the
-    // blocks merge in chunk order — the identical sequence of appends and
-    // (integer-valued) counter additions either way.
-    const auto probe_chunk = [&](int64_t base, int64_t nb, RowBlock* dst,
-                                 OpStats* pst) {
+    // assembling join rows directly in the chunk's output block.
+    const int64_t probe_rows = left.num_rows();
+    EmitTasks(NumChunks(probe_rows), &out, &st, [&](int64_t c, RowBlock* dst,
+                                                    OpStats* pst) {
+      const int64_t base = c * chunk;
+      const int64_t nb = std::min(chunk, probe_rows - base);
       std::vector<uint64_t> hashes(static_cast<size_t>(nb));
       for (int64_t i = 0; i < nb; ++i) {
         hashes[static_cast<size_t>(i)] = HashKeys(left.row(base + i), lcols);
@@ -856,15 +782,7 @@ class NodeRunner {
           AppendJoinRow(dst, out_cols, left, l, right, r, node, quals, pst);
         }
       }
-    };
-    if (ShouldShard(left.num_rows())) {
-      RunChunksParallel(left.num_rows(), &out, &st, probe_chunk);
-    } else {
-      for (int64_t base = 0; base < left.num_rows(); base += chunk) {
-        const int64_t nb = std::min(chunk, left.num_rows() - base);
-        probe_chunk(base, nb, &out, &st);
-      }
-    }
+    });
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     // Grace-hash spill I/O if the build side exceeds work_mem.
@@ -941,20 +859,7 @@ class NodeRunner {
     // Phase 2 — cross-product emission, sharded: consecutive groups batch
     // into tasks of roughly max_batch_size output pairs (an input-derived
     // decomposition — thread count never shapes it), each task emits its
-    // groups in order, and task outputs place in task order. Group order,
-    // residual-qual charges (integers) and row order match the sequential
-    // emission exactly.
-    const auto emit_groups = [&](size_t gbegin, size_t gend, RowBlock* dst,
-                                 OpStats* pst) {
-      for (size_t g = gbegin; g < gend; ++g) {
-        const EqualGroup& eq = eq_groups[g];
-        for (int64_t a = eq.li; a < eq.le; ++a) {
-          for (int64_t b = eq.ri; b < eq.re; ++b) {
-            AppendJoinRow(dst, out_cols, left, a, right, b, node, quals, pst);
-          }
-        }
-      }
-    };
+    // groups in order, and task outputs land in task order.
     std::vector<size_t> task_bounds{0};
     int64_t pending_pairs = 0;
     for (size_t g = 0; g < eq_groups.size(); ++g) {
@@ -969,16 +874,17 @@ class NodeRunner {
       task_bounds.push_back(eq_groups.size());
     }
     const int64_t ntasks = static_cast<int64_t>(task_bounds.size()) - 1;
-    if (ctx_->parallel() && ntasks >= 2) {
-      RunShardedTasks(ntasks, &out, &st,
-                      [&](int64_t t, RowBlock* dst, OpStats* pst) {
-                        emit_groups(task_bounds[static_cast<size_t>(t)],
-                                    task_bounds[static_cast<size_t>(t) + 1],
-                                    dst, pst);
-                      });
-    } else {
-      emit_groups(0, eq_groups.size(), &out, &st);
-    }
+    EmitTasks(ntasks, &out, &st, [&](int64_t t, RowBlock* dst, OpStats* pst) {
+      for (size_t g = task_bounds[static_cast<size_t>(t)];
+           g < task_bounds[static_cast<size_t>(t) + 1]; ++g) {
+        const EqualGroup& eq = eq_groups[g];
+        for (int64_t a = eq.li; a < eq.le; ++a) {
+          for (int64_t b = eq.ri; b < eq.re; ++b) {
+            AppendJoinRow(dst, out_cols, left, a, right, b, node, quals, pst);
+          }
+        }
+      }
+    });
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     Retain(*node.left, &left);
@@ -1008,10 +914,12 @@ class NodeRunner {
     const int out_cols = out.schema.num_columns();
     const int64_t rn = right.num_rows();
     // Outer loop sharded over left-row chunks (output order is left-row
-    // order, so chunk-order merge is bit-identical).
-    const auto outer_chunk = [&](int64_t base, int64_t nb, RowBlock* dst,
-                                 OpStats* pst) {
-      for (int64_t l = base; l < base + nb; ++l) {
+    // order, so chunk-order output is bit-identical).
+    const int64_t chunk = ctx_->batch();
+    const int64_t ln = left.num_rows();
+    EmitTasks(NumChunks(ln), &out, &st, [&](int64_t c, RowBlock* dst,
+                                            OpStats* pst) {
+      for (int64_t l = c * chunk; l < std::min(ln, (c + 1) * chunk); ++l) {
         const RowRef lrow = left.row(l);
         pst->actual.no += static_cast<double>(rn);  // per-pair key comparisons
         for (int64_t r = 0; r < rn; ++r) {
@@ -1021,12 +929,7 @@ class NodeRunner {
           AppendJoinRow(dst, out_cols, left, l, right, r, node, quals, pst);
         }
       }
-    };
-    if (ShouldShard(left.num_rows())) {
-      RunChunksParallel(left.num_rows(), &out, &st, outer_chunk);
-    } else {
-      outer_chunk(0, left.num_rows(), &out, &st);
-    }
+    });
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     Retain(*node.left, &left);
@@ -1200,7 +1103,10 @@ class NodeRunner {
       for (int64_t i = 0; i < nb; ++i) {
         const RowRef row = in.row(base + i);
         const uint64_t h = HashKeys(row, node.group_columns);
-        GroupAccumulator* acc = table.FindByRow(h, row, node.group_columns);
+        GroupAccumulator* acc =
+            table.Find(h, node.group_columns.size(), [&](size_t g) -> const Value& {
+              return row[node.group_columns[g]];
+            });
         if (acc == nullptr) {
           GroupAccumulator fresh;
           fresh.hash = h;
@@ -1231,7 +1137,9 @@ class NodeRunner {
     // row count; the tree does O(log nchunks) levels of halving work.
     const auto merge_pair = [&](GroupTable* left, GroupTable* right) {
       for (GroupAccumulator& acc : right->groups) {
-        GroupAccumulator* into = left->FindByAcc(acc);
+        GroupAccumulator* into =
+            left->Find(acc.hash, acc.group_values.size(),
+                       [&](size_t g) -> const Value& { return acc.group_values[g]; });
         if (into == nullptr) {
           left->Append(std::move(acc));
           continue;
@@ -1341,13 +1249,7 @@ StatusOr<ExecResult> Executor::Execute(const Plan& plan,
   // Intra-query parallelism: use the caller's pool when provided (the
   // service layer shares one pool between plan-level and intra-plan
   // tasks), otherwise spin up an ephemeral one for this Execute call.
-  const int threads = ResolveNumThreads(options.num_threads);
-  TaskRunner* task_runner = threads > 1 ? options.task_runner : nullptr;
-  std::unique_ptr<MorselPool> owned_pool;
-  if (threads > 1 && task_runner == nullptr) {
-    owned_pool = std::make_unique<MorselPool>(threads);
-    task_runner = owned_pool.get();
-  }
+  const ScopedTaskRunner task_runner(options.num_threads, options.task_runner);
   ExecContext ctx(db_, options, plan.num_operators(), plan.num_leaves(),
                   task_runner);
   ExecResult result;

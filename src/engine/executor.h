@@ -89,6 +89,31 @@ class MorselPool : public TaskRunner {
 /// anything else is taken literally (floored at 1).
 int ResolveNumThreads(int num_threads);
 
+/// The runner one run fans out on. Resolves `num_threads`; above one
+/// thread it is `runner` when given, else a MorselPool owned for this
+/// object's lifetime. At one thread there is no pool and every task runs
+/// inline on the calling thread.
+class ScopedTaskRunner {
+ public:
+  ScopedTaskRunner(int num_threads, TaskRunner* runner);
+
+  ScopedTaskRunner(const ScopedTaskRunner&) = delete;
+  ScopedTaskRunner& operator=(const ScopedTaskRunner&) = delete;
+
+  int threads() const { return threads_; }
+  /// The pool, or null at one thread.
+  TaskRunner* pool() const { return pool_; }
+
+  /// Runs `fn(i)` for every i in [0, n): on the pool when there is one and
+  /// n > 1, else inline in index order.
+  void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) const;
+
+ private:
+  int threads_;
+  std::unique_ptr<MorselPool> owned_;
+  TaskRunner* pool_;
+};
+
 /// Materialized intermediate result: schema + flat row-major values, plus
 /// optional provenance. Provenance row i holds, for each leaf position in
 /// the subtree that produced the block, the row index of the source tuple
@@ -156,8 +181,8 @@ struct ExecOptions {
   /// index-scan gathers, hash-join builds/probes, nest-loop outer loops,
   /// sort leaf blocks + merge-tree levels, per-chunk aggregation tables
   /// and merge-join group emission are sharded across a task pool, and
-  /// independent join children run concurrently. 1 is the historical
-  /// sequential path; <= 0 means hardware concurrency. The determinism
+  /// independent join children run concurrently. 1 runs the same loops
+  /// inline, task by task; <= 0 means hardware concurrency. The determinism
   /// contract (enforced by tests/parallel_parity_test.cc): output rows,
   /// provenance, retained blocks and every resource counter are
   /// bit-identical at every value. Three ingredients: task results merge
@@ -179,8 +204,8 @@ struct ExecOptions {
   /// pool between plan-level and intra-plan tasks) pass it here.
   TaskRunner* task_runner = nullptr;
   /// Cooperative cancellation probe. When set, the executor polls it at
-  /// operator boundaries and at morsel-shard boundaries inside
-  /// RunTaskRange / RunShardedTasks; once it returns true the run stops
+  /// operator boundaries and before every task of a sharded loop, at
+  /// every thread count; once it returns true the run stops
   /// consuming pool time (remaining shard bodies become no-ops) and
   /// Execute resolves with Status::DeadlineExceeded. The probe must be
   /// callable from any pool thread. Cancellation never yields a partial

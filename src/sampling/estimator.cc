@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -52,20 +51,14 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
   // and the Q-counting shards below. When the caller supplied a runner
   // (the service layer sharing its worker pool), use it; otherwise an
   // ephemeral pool lives for this call.
-  const int threads = ResolveNumThreads(num_threads_);
-  TaskRunner* runner = threads > 1 ? task_runner_ : nullptr;
-  std::unique_ptr<MorselPool> owned_pool;
-  if (threads > 1 && runner == nullptr) {
-    owned_pool = std::make_unique<MorselPool>(threads);
-    runner = owned_pool.get();
-  }
+  const ScopedTaskRunner runner(num_threads_, task_runner_);
 
   ExecOptions options;
   options.collect_provenance = true;
   options.retain_intermediates = true;
   options.leaf_overrides = &overrides;
-  options.num_threads = threads;
-  options.task_runner = runner;
+  options.num_threads = runner.threads();
+  options.task_runner = runner.pool();
   int64_t batch = max_batch_size_;
   if (batch <= 0) {
     int64_t max_rows = 0;
@@ -218,47 +211,41 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
           out.leaf_sample_rows[static_cast<size_t>(node->leaf_begin + k)];
       q[static_cast<size_t>(k)].assign(static_cast<size_t>(nk), 0.0);
     }
+    // The provenance scan shards into contiguous row ranges when a pool
+    // is on: shard 0 counts straight into q, shards 1..n into their own
+    // count vectors, added to q in shard order.
     const int64_t block_rows = block.num_rows();
     const int64_t count_shards =
-        runner != nullptr
-            ? std::min<int64_t>(threads, (block_rows + kCountMorselRows - 1) /
-                                             kCountMorselRows)
+        runner.pool() != nullptr
+            ? std::clamp<int64_t>((block_rows + kCountMorselRows - 1) /
+                                      kCountMorselRows,
+                                  1, runner.threads())
             : 1;
-    if (count_shards > 1) {
-      // Shard the provenance scan into contiguous row ranges, each with
-      // its own count vectors, merged in shard order.
-      std::vector<std::vector<std::vector<double>>> parts(
-          static_cast<size_t>(count_shards));
-      const int64_t per_shard = (block_rows + count_shards - 1) / count_shards;
-      runner->RunTasks(count_shards, [&](int64_t s) {
-        auto& part = parts[static_cast<size_t>(s)];
-        part.resize(static_cast<size_t>(span));
+    const int64_t per_shard = (block_rows + count_shards - 1) / count_shards;
+    std::vector<std::vector<std::vector<double>>> parts(
+        static_cast<size_t>(count_shards - 1));
+    runner.RunTasks(count_shards, [&](int64_t s) {
+      auto& counts = s == 0 ? q : parts[static_cast<size_t>(s - 1)];
+      if (s > 0) {
+        counts.resize(static_cast<size_t>(span));
         for (int k = 0; k < span; ++k) {
-          part[static_cast<size_t>(k)].assign(
+          counts[static_cast<size_t>(k)].assign(
               q[static_cast<size_t>(k)].size(), 0.0);
         }
-        const int64_t begin = s * per_shard;
-        const int64_t end = std::min(block_rows, begin + per_shard);
-        for (int64_t r = begin; r < end; ++r) {
-          const uint32_t* prov = block.prov_row(r);
-          for (int k = 0; k < span; ++k) {
-            part[static_cast<size_t>(k)][prov[k]] += 1.0;
-          }
-        }
-      });
-      for (const auto& part : parts) {
-        for (int k = 0; k < span; ++k) {
-          auto& qk = q[static_cast<size_t>(k)];
-          const auto& pk = part[static_cast<size_t>(k)];
-          for (size_t j = 0; j < qk.size(); ++j) qk[j] += pk[j];
-        }
       }
-    } else {
-      for (int64_t r = 0; r < block_rows; ++r) {
+      const int64_t end = std::min(block_rows, (s + 1) * per_shard);
+      for (int64_t r = s * per_shard; r < end; ++r) {
         const uint32_t* prov = block.prov_row(r);
         for (int k = 0; k < span; ++k) {
-          q[static_cast<size_t>(k)][prov[k]] += 1.0;
+          counts[static_cast<size_t>(k)][prov[k]] += 1.0;
         }
+      }
+    });
+    for (const auto& part : parts) {
+      for (int k = 0; k < span; ++k) {
+        auto& qk = q[static_cast<size_t>(k)];
+        const auto& pk = part[static_cast<size_t>(k)];
+        for (size_t j = 0; j < qk.size(); ++j) qk[j] += pk[j];
       }
     }
 

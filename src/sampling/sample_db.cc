@@ -70,20 +70,10 @@ SampleDb SampleDb::Build(const Database& db, const SampleOptions& options,
     u.entry->copies[static_cast<size_t>(u.copy)] = std::move(sample);
   };
 
-  const int threads = ResolveNumThreads(options.num_threads);
-  if (threads > 1 && units.size() > 1) {
-    TaskRunner* runner = task_runner;
-    std::unique_ptr<MorselPool> owned;
-    if (runner == nullptr) {
-      owned = std::make_unique<MorselPool>(threads);
-      runner = owned.get();
-    }
-    runner->RunTasks(static_cast<int64_t>(units.size()), [&](int64_t i) {
-      build_unit(units[static_cast<size_t>(i)]);
-    });
-  } else {
-    for (const BuildUnit& u : units) build_unit(u);
-  }
+  ScopedTaskRunner(options.num_threads, task_runner)
+      .RunTasks(static_cast<int64_t>(units.size()), [&](int64_t i) {
+        build_unit(units[static_cast<size_t>(i)]);
+      });
   return out;
 }
 

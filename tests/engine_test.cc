@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -750,6 +752,82 @@ TEST(Executor, RetainedBlocksEqualSubtreeOutputs) {
           result->blocks[static_cast<size_t>(node->id)], alone->output))
           << "operator " << node->id << " at num_threads=" << threads;
     }
+  }
+}
+
+// ---------- Cooperative cancellation ----------
+
+/// t1 (200 rows) joined to t2 (40 rows) on a = k over unfiltered scans.
+Plan CancellationJoinPlan(const Database& db, OpType type) {
+  auto left = MakeSeqScan("t1", NoPred());
+  auto right = MakeSeqScan("t2", NoPred());
+  Plan plan(type == OpType::kHashJoin
+                ? MakeHashJoin(std::move(left), std::move(right), {{0, 0}})
+                : MakeNestLoopJoin(std::move(left), std::move(right), {{0, 0}}));
+  EXPECT_TRUE(plan.Finalize(db).ok());
+  return plan;
+}
+
+ExecOptions CancellationOptions(int num_threads, std::atomic<int>* polls,
+                                int fire_after) {
+  ExecOptions options;
+  options.max_batch_size = 7;  // 29 chunks over t1's 200 rows
+  options.num_threads = num_threads;
+  options.cancelled = [polls, fire_after] { return ++*polls > fire_after; };
+  return options;
+}
+
+TEST(ExecutorCancellation, CancelledFromTheStartReturnsOnlyTheError) {
+  Database db = MakeTestDb();
+  const Plan plan = CancellationJoinPlan(db, OpType::kHashJoin);
+  Executor executor(&db);
+  for (int threads : {1, 3}) {
+    std::atomic<int> polls{0};
+    auto result = executor.Execute(plan, CancellationOptions(threads, &polls, 0));
+    ASSERT_FALSE(result.ok()) << "num_threads=" << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  }
+}
+
+// At one thread the outer loop runs inline, chunk by chunk, and must still
+// poll the token before every chunk, not only at operator boundaries.
+TEST(ExecutorCancellation, OneThreadNestLoopPollsEveryOuterChunk) {
+  Database db = MakeTestDb();
+  const Plan plan = CancellationJoinPlan(db, OpType::kNestLoopJoin);
+  Executor executor(&db);
+  std::atomic<int> polls{0};
+  auto result = executor.Execute(
+      plan, CancellationOptions(1, &polls, std::numeric_limits<int>::max()));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExecOptions plain;
+  plain.max_batch_size = 7;
+  auto reference = executor.Execute(plan, plain);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(RowFingerprints(result->output), RowFingerprints(reference->output));
+  const int outer_chunks = (200 + 7 - 1) / 7;
+  EXPECT_GE(polls.load(), outer_chunks);
+}
+
+TEST(ExecutorCancellation, DeadlineDuringHashProbeNeverYieldsPartialResult) {
+  Database db = MakeTestDb();
+  const Plan plan = CancellationJoinPlan(db, OpType::kHashJoin);
+  Executor executor(&db);
+  for (int threads : {1, 3}) {
+    // A probe that never fires counts the polls of a whole run. The 29
+    // probe chunks poll last, before only the join's exit check, so firing
+    // ten polls before the end lands inside the probe.
+    std::atomic<int> total{0};
+    ASSERT_TRUE(executor
+                    .Execute(plan, CancellationOptions(
+                                       threads, &total,
+                                       std::numeric_limits<int>::max()))
+                    .ok());
+    ASSERT_GE(total.load(), 29 + 10) << "num_threads=" << threads;
+    std::atomic<int> polls{0};
+    auto result = executor.Execute(
+        plan, CancellationOptions(threads, &polls, total.load() - 10));
+    ASSERT_FALSE(result.ok()) << "num_threads=" << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   }
 }
 
