@@ -596,12 +596,13 @@ class NodeRunner {
       }
     } else {
       // Filter fully in place, at every thread count: a sizing pass
-      // evaluates the predicate chunk by chunk (column-at-a-time) into one
-      // shared mask and counts survivors per chunk, then the output is
-      // sized once and a placement pass copies each chunk's surviving
-      // source rows directly into its span — no intermediate chunk blocks,
-      // no merge copy, no regrowth. Chunks run on the pool when there is
-      // one; survivors land in chunk order either way.
+      // evaluates the predicate chunk by chunk over the table's column
+      // arrays (EvalPredicateColumns) into one shared mask and counts
+      // survivors per chunk, then the output is sized once and a placement
+      // pass copies each chunk's surviving source rows directly into its
+      // span — no intermediate chunk blocks, no merge copy, no regrowth.
+      // Chunks run on the pool when there is one; survivors land in chunk
+      // order either way.
       const int64_t chunk = ctx_->batch();
       const int64_t nchunks = NumChunks(rows);
       std::vector<uint8_t> mask(static_cast<size_t>(rows));
@@ -610,8 +611,7 @@ class NodeRunner {
         const int64_t base = c * chunk;
         const int64_t nb = std::min(chunk, rows - base);
         uint8_t* chunk_mask = mask.data() + base;
-        EvalPredicateBatch(*node.predicate, data + base * ncols, ncols, nb,
-                           chunk_mask);
+        EvalPredicateColumns(*node.predicate, src, base, nb, chunk_mask);
         int64_t count = 0;
         for (int64_t i = 0; i < nb; ++i) count += chunk_mask[i] != 0;
         survivors[static_cast<size_t>(c)] = count;

@@ -173,9 +173,12 @@ struct ExecOptions {
   /// Rows per inner-loop chunk: filters and join probes process their
   /// input in RowBlock chunks of at most this many rows (vectorized-style
   /// batched execution — predicates evaluate column-at-a-time into a
-  /// selection mask, survivors are copied in runs). 1 reproduces the
-  /// historical tuple-at-a-time loop; output and counters are identical
-  /// for every value.
+  /// selection mask, survivors are copied in runs). A seq-scan filter
+  /// reads the table's contiguous column arrays through branch-free
+  /// kernels where the column types allow (EvalPredicateColumns); index-
+  /// scan residuals and every other comparison read the row cells
+  /// (EvalPredicateBatch). 1 reproduces the historical tuple-at-a-time
+  /// loop; output and counters are identical for every value.
   int64_t max_batch_size = 1024;
   /// Intra-query parallelism: with more than one thread, filter scans,
   /// index-scan gathers, hash-join builds/probes, nest-loop outer loops,

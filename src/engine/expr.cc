@@ -165,6 +165,9 @@ enum class MaskMode {
   kWiden,   ///< mask[i] |= p(i), lanes already set are skipped (OR)
 };
 
+/// Cell path: `pred` may abort (a range comparison on a string), so it
+/// runs only on the lanes whose result can still change, as the per-row
+/// short-circuit would.
 template <typename RowPred>
 void ApplyMask(MaskMode mode, int64_t n, uint8_t* mask, RowPred pred) {
   switch (mode) {
@@ -184,12 +187,115 @@ void ApplyMask(MaskMode mode, int64_t n, uint8_t* mask, RowPred pred) {
   }
 }
 
-void EvalBatchImpl(const Expr& e, const Value* rows, int stride, int64_t n,
-                   uint8_t* mask, MaskMode mode) {
+/// Kernel path: `pred` cannot abort, so every lane evaluates it and the
+/// loops stay branch-free. GCC vectorizes them where the target packs
+/// double compares into byte masks (e.g. -mavx2); at the baseline x86-64
+/// target they run as scalar compare-and-set loops.
+template <typename RowPred>
+void ApplyMaskDense(MaskMode mode, int64_t n, uint8_t* mask, RowPred pred) {
+  switch (mode) {
+    case MaskMode::kFill:
+      for (int64_t i = 0; i < n; ++i) mask[i] = pred(i);
+      break;
+    case MaskMode::kNarrow:
+      for (int64_t i = 0; i < n; ++i) mask[i] &= pred(i);
+      break;
+    case MaskMode::kWiden:
+      for (int64_t i = 0; i < n; ++i) mask[i] |= pred(i);
+      break;
+  }
+}
+
+/// `a[i] <op> b(i)` over doubles with EvalPredicate's outcome on every
+/// input. Ranges follow Value::Compare, which returns 0 when either side is
+/// NaN: <= is "not >" and >= is "not <". A constant comparison's = and <>
+/// follow Value::Equals (plain ==, false on NaN); a column-column one's
+/// follow Compare == 0 (`three_way`), which holds on NaN.
+template <typename Rhs>
+void CompareDense(CmpOp op, bool three_way, MaskMode mode, int64_t n,
+                  uint8_t* mask, const double* a, Rhs b) {
+  switch (op) {
+    case CmpOp::kEq:
+      if (three_way) {
+        ApplyMaskDense(mode, n, mask,
+                       [&](int64_t i) { return !(a[i] < b(i)) & !(a[i] > b(i)); });
+      } else {
+        ApplyMaskDense(mode, n, mask, [&](int64_t i) { return a[i] == b(i); });
+      }
+      break;
+    case CmpOp::kNe:
+      if (three_way) {
+        ApplyMaskDense(mode, n, mask,
+                       [&](int64_t i) { return (a[i] < b(i)) | (a[i] > b(i)); });
+      } else {
+        ApplyMaskDense(mode, n, mask, [&](int64_t i) { return a[i] != b(i); });
+      }
+      break;
+    case CmpOp::kLt:
+      ApplyMaskDense(mode, n, mask, [&](int64_t i) { return a[i] < b(i); });
+      break;
+    case CmpOp::kLe:
+      ApplyMaskDense(mode, n, mask, [&](int64_t i) { return !(a[i] > b(i)); });
+      break;
+    case CmpOp::kGt:
+      ApplyMaskDense(mode, n, mask, [&](int64_t i) { return a[i] > b(i); });
+      break;
+    case CmpOp::kGe:
+      ApplyMaskDense(mode, n, mask, [&](int64_t i) { return !(a[i] < b(i)); });
+      break;
+  }
+}
+
+/// The chunk a batch evaluation reads: `n` rows of `stride` cells from
+/// `rows`, and, when they are rows [base, base + n) of `table`, that
+/// table's column arrays.
+struct Chunk {
+  const Value* rows;
+  int stride;
+  const Table* table;
+  int64_t base;
+};
+
+/// Runs a comparison node on the table's column arrays when its operands
+/// allow it: a numeric constant against an all-numeric column, two
+/// all-numeric columns, or string (in)equality on an all-string column.
+/// None of these can abort. Returns false, having done nothing, otherwise.
+bool TryColumnKernel(const Expr& e, const Chunk& src, int64_t n, uint8_t* mask,
+                     MaskMode mode) {
+  if (src.table == nullptr) return false;
+  const Table& t = *src.table;
+  const ColumnKind kind = t.column_kind(e.column);
+  const double* a = t.column(e.column).data() + src.base;
+  if (e.kind == Expr::Kind::kCmpCol) {
+    if (kind != ColumnKind::kNumeric ||
+        t.column_kind(e.column2) != ColumnKind::kNumeric) {
+      return false;
+    }
+    const double* b = t.column(e.column2).data() + src.base;
+    CompareDense(e.op, /*three_way=*/true, mode, n, mask, a,
+                 [b](int64_t i) { return b[i]; });
+    return true;
+  }
+  const Value& c = e.constant;
+  const bool numeric = kind == ColumnKind::kNumeric && c.type != ValueType::kString;
+  const bool string_eq = kind == ColumnKind::kString &&
+                         c.type == ValueType::kString &&
+                         (e.op == CmpOp::kEq || e.op == CmpOp::kNe);
+  if (!numeric && !string_eq) return false;
+  const double rhs = numeric ? c.AsDouble() : static_cast<double>(c.s);
+  CompareDense(e.op, /*three_way=*/false, mode, n, mask, a,
+               [rhs](int64_t) { return rhs; });
+  return true;
+}
+
+void EvalBatchImpl(const Expr& e, const Chunk& src, int64_t n, uint8_t* mask,
+                   MaskMode mode) {
+  const int stride = src.stride;
   switch (e.kind) {
     case Expr::Kind::kCmp: {
+      if (TryColumnKernel(e, src, n, mask, mode)) return;
       const Value& c = e.constant;
-      const Value* col = rows + e.column;
+      const Value* col = src.rows + e.column;
       auto cell = [col, stride](int64_t i) -> const Value& {
         return col[i * stride];
       };
@@ -220,8 +326,9 @@ void EvalBatchImpl(const Expr& e, const Value* rows, int stride, int64_t n,
       return;
     }
     case Expr::Kind::kCmpCol: {
-      const Value* a = rows + e.column;
-      const Value* b = rows + e.column2;
+      if (TryColumnKernel(e, src, n, mask, mode)) return;
+      const Value* a = src.rows + e.column;
+      const Value* b = src.rows + e.column2;
       auto cmp3 = [a, b, stride](int64_t i) {
         return a[i * stride].Compare(b[i * stride]);
       };
@@ -251,31 +358,31 @@ void EvalBatchImpl(const Expr& e, const Value* rows, int stride, int64_t n,
       if (mode == MaskMode::kWiden) {
         // mask |= (a AND b): materialize the conjunction in a scratch mask.
         std::vector<uint8_t> tmp(static_cast<size_t>(n));
-        EvalBatchImpl(*e.lhs, rows, stride, n, tmp.data(), MaskMode::kFill);
-        EvalBatchImpl(*e.rhs, rows, stride, n, tmp.data(), MaskMode::kNarrow);
+        EvalBatchImpl(*e.lhs, src, n, tmp.data(), MaskMode::kFill);
+        EvalBatchImpl(*e.rhs, src, n, tmp.data(), MaskMode::kNarrow);
         for (int64_t i = 0; i < n; ++i) mask[i] |= tmp[static_cast<size_t>(i)];
         return;
       }
-      EvalBatchImpl(*e.lhs, rows, stride, n, mask, mode);
-      EvalBatchImpl(*e.rhs, rows, stride, n, mask, MaskMode::kNarrow);
+      EvalBatchImpl(*e.lhs, src, n, mask, mode);
+      EvalBatchImpl(*e.rhs, src, n, mask, MaskMode::kNarrow);
       return;
     case Expr::Kind::kOr:
       if (mode == MaskMode::kNarrow) {
         // mask &= (a OR b): materialize the disjunction in a scratch mask.
         std::vector<uint8_t> tmp(static_cast<size_t>(n));
-        EvalBatchImpl(*e.lhs, rows, stride, n, tmp.data(), MaskMode::kFill);
-        EvalBatchImpl(*e.rhs, rows, stride, n, tmp.data(), MaskMode::kWiden);
+        EvalBatchImpl(*e.lhs, src, n, tmp.data(), MaskMode::kFill);
+        EvalBatchImpl(*e.rhs, src, n, tmp.data(), MaskMode::kWiden);
         for (int64_t i = 0; i < n; ++i) mask[i] &= tmp[static_cast<size_t>(i)];
         return;
       }
-      EvalBatchImpl(*e.lhs, rows, stride, n, mask, mode);
-      EvalBatchImpl(*e.rhs, rows, stride, n, mask, MaskMode::kWiden);
+      EvalBatchImpl(*e.lhs, src, n, mask, mode);
+      EvalBatchImpl(*e.rhs, src, n, mask, MaskMode::kWiden);
       return;
     case Expr::Kind::kNot: {
       std::vector<uint8_t> tmp(static_cast<size_t>(n));
-      EvalBatchImpl(*e.lhs, rows, stride, n, tmp.data(), MaskMode::kFill);
-      ApplyMask(mode, n, mask,
-                [&](int64_t i) { return tmp[static_cast<size_t>(i)] == 0; });
+      EvalBatchImpl(*e.lhs, src, n, tmp.data(), MaskMode::kFill);
+      ApplyMaskDense(mode, n, mask,
+                     [&](int64_t i) { return tmp[static_cast<size_t>(i)] == 0; });
       return;
     }
   }
@@ -285,7 +392,14 @@ void EvalBatchImpl(const Expr& e, const Value* rows, int stride, int64_t n,
 
 void EvalPredicateBatch(const Expr& e, const Value* rows, int stride,
                         int64_t n, uint8_t* mask) {
-  EvalBatchImpl(e, rows, stride, n, mask, MaskMode::kFill);
+  EvalBatchImpl(e, Chunk{rows, stride, nullptr, 0}, n, mask, MaskMode::kFill);
+}
+
+void EvalPredicateColumns(const Expr& e, const Table& table, int64_t base,
+                          int64_t n, uint8_t* mask) {
+  const int stride = table.schema().num_columns();
+  EvalBatchImpl(e, Chunk{table.raw_values().data() + base * stride, stride, &table, base},
+                n, mask, MaskMode::kFill);
 }
 
 int PredicateOpCount(const Expr* e) {

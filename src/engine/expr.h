@@ -64,8 +64,24 @@ bool EvalPredicate(const Expr& e, RowRef row);
 /// chunk evaluates the same comparisons the scalar path would up to
 /// short-circuit granularity. Semantically identical to calling
 /// EvalPredicate per row (predicates are pure).
+///
+/// This is the cell path: every comparison reads the strided 16-byte
+/// Value cells. EvalPredicateColumns below adds the kernel path for
+/// chunks that are rows of a Table.
 void EvalPredicateBatch(const Expr& e, const Value* rows, int stride,
                         int64_t n, uint8_t* mask);
+
+/// EvalPredicateBatch over rows [base, base + n) of `table`, with the same
+/// result. Comparisons whose operands allow it run as branch-free kernels
+/// over the table's contiguous column arrays (Table::column): a numeric
+/// constant against an all-numeric column, two all-numeric columns, and
+/// (in)equality of a string constant against an all-string column. They
+/// reproduce Value::Compare / Equals on every input, NaN and int64 beyond
+/// 2^53 included, and cannot abort. Every other comparison (mixed columns,
+/// range comparisons on strings, type mismatches) takes the cell path, so
+/// aborts and mismatch results are those of EvalPredicateBatch.
+void EvalPredicateColumns(const Expr& e, const Table& table, int64_t base,
+                          int64_t n, uint8_t* mask);
 
 /// Number of comparison nodes (CPU operations charged per tuple).
 int PredicateOpCount(const Expr* e);

@@ -83,9 +83,10 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
   }
   out.sample_ops = run.ops;
 
-  // Optimizer cardinalities for aggregate fallbacks.
+  // Optimizer cardinalities, computed on the first aggregate fallback:
+  // most plans never take it.
   CardinalityEstimator cards(db_);
-  const std::vector<double> opt_rows = cards.EstimatePlan(plan);
+  std::vector<double> opt_rows;
 
   // Process children before parents: in preorder ids, every child id is
   // greater than its parent's, so reverse id order works.
@@ -152,6 +153,7 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
         continue;
       }
       // Algorithm 1 lines 2-5: optimizer estimate, zero variance.
+      if (opt_rows.empty()) opt_rows = cards.EstimatePlan(plan);
       est.from_optimizer = true;
       est.rho = SafeSel(opt_rows[static_cast<size_t>(id)] /
                         std::max(1.0, node->leaf_row_product));

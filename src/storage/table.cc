@@ -20,11 +20,24 @@ int64_t Table::num_pages() const {
 
 void Table::AppendRow(const std::vector<Value>& row) {
   UQP_DCHECK(static_cast<int>(row.size()) == schema_.num_columns());
-  values_.insert(values_.end(), row.begin(), row.end());
+  AppendRow(row.data());
 }
 
 void Table::AppendRow(const Value* row) {
-  values_.insert(values_.end(), row, row + schema_.num_columns());
+  const int n = schema_.num_columns();
+  values_.insert(values_.end(), row, row + n);
+  for (int c = 0; c < n; ++c) {
+    const Value& v = row[c];
+    const bool str = v.type == ValueType::kString;
+    columns_[static_cast<size_t>(c)].push_back(str ? static_cast<double>(v.s)
+                                                   : v.AsDouble());
+    column_types_[static_cast<size_t>(c)] |= str ? kStringSeen : kNumericSeen;
+  }
+}
+
+void Table::Reserve(int64_t rows) {
+  values_.reserve(static_cast<size_t>(rows) * schema_.num_columns());
+  for (std::vector<double>& col : columns_) col.reserve(static_cast<size_t>(rows));
 }
 
 Table& Table::operator=(const Table& other) {
@@ -41,6 +54,8 @@ Table& Table::operator=(const Table& other) {
   name_ = other.name_;
   schema_ = other.schema_;
   values_ = other.values_;
+  columns_ = other.columns_;
+  column_types_ = other.column_types_;
   declared_indexes_ = other.declared_indexes_;
   MutexLock lock(&index_mu_);
   ordered_indexes_ = std::move(indexes);
@@ -58,6 +73,8 @@ Table& Table::operator=(Table&& other) {
   name_ = std::move(other.name_);
   schema_ = std::move(other.schema_);
   values_ = std::move(other.values_);
+  columns_ = std::move(other.columns_);
+  column_types_ = std::move(other.column_types_);
   declared_indexes_ = std::move(other.declared_indexes_);
   MutexLock lock(&index_mu_);
   ordered_indexes_ = std::move(indexes);

@@ -24,7 +24,16 @@ struct RowRef {
   const Value& operator[](int i) const { return data[i]; }
 };
 
-/// A row-major in-memory relation: schema + flat value array.
+/// What a table column's double array holds (see Table::column).
+enum class ColumnKind : uint8_t {
+  kNumeric,  ///< every cell is numeric: the array holds each cell's AsDouble()
+  kString,   ///< every cell is a string: the array holds its pool id
+  kMixed,    ///< numeric and string cells: only the Value cells are usable
+};
+
+/// A row-major in-memory relation: schema + flat value array, plus one
+/// contiguous double array per column for the scan's column kernels
+/// (8 bytes more per cell).
 ///
 /// The page model (rows per page derived from tuple width) is what the cost
 /// model and the simulated machine use to translate scans into I/O counts,
@@ -33,7 +42,10 @@ class Table {
  public:
   Table() = default;
   Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+      : name_(std::move(name)),
+        schema_(std::move(schema)),
+        columns_(static_cast<size_t>(schema_.num_columns())),
+        column_types_(static_cast<size_t>(schema_.num_columns()), 0) {}
 
   // Copy/move are explicit because of the index-build mutex: the data and
   // any already-built indexes transfer, the new table gets a fresh mutex.
@@ -71,8 +83,24 @@ class Table {
   /// Appends from a raw pointer of schema arity.
   void AppendRow(const Value* row);
 
-  void Reserve(int64_t rows) {
-    values_.reserve(static_cast<size_t>(rows) * schema_.num_columns());
+  void Reserve(int64_t rows);
+
+  /// Column `c` as one contiguous array of num_rows() doubles, appended in
+  /// step with the rows. Its contents are meaningful as column_kind says.
+  const std::vector<double>& column(int c) const {
+    return columns_[static_cast<size_t>(c)];
+  }
+
+  /// What column(c) holds. A column with no rows reads kNumeric.
+  ColumnKind column_kind(int c) const {
+    switch (column_types_[static_cast<size_t>(c)]) {
+      case kStringSeen:
+        return ColumnKind::kString;
+      case kNumericSeen | kStringSeen:
+        return ColumnKind::kMixed;
+      default:
+        return ColumnKind::kNumeric;
+    }
   }
 
   /// Returns (building lazily) a B-tree-like ordered index on a numeric
@@ -92,9 +120,15 @@ class Table {
   const std::vector<Value>& raw_values() const { return values_; }
 
  private:
+  /// Bits of column_types_: which cell types a column has seen.
+  static constexpr uint8_t kNumericSeen = 1;
+  static constexpr uint8_t kStringSeen = 2;
+
   std::string name_;
   Schema schema_;
   std::vector<Value> values_;
+  std::vector<std::vector<double>> columns_;
+  std::vector<uint8_t> column_types_;
   std::map<int, bool> declared_indexes_;
   /// Guards the lazy build of ordered_indexes_ (see OrderedIndex). The
   /// references OrderedIndex hands out outlive the lock by design: map

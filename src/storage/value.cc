@@ -52,21 +52,8 @@ const std::string& Value::AsString() const {
   return StringPool::Global().Lookup(s);
 }
 
-uint64_t Value::Hash() const {
-  switch (type) {
-    case ValueType::kInt64:
-      return std::hash<int64_t>{}(i) * 0x9e3779b97f4a7c15ULL;
-    case ValueType::kDouble:
-      // Hash int-valued doubles identically to their int64 counterparts so
-      // cross-type equi-joins behave.
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
-        return std::hash<int64_t>{}(static_cast<int64_t>(d)) * 0x9e3779b97f4a7c15ULL;
-      }
-      return std::hash<double>{}(d) * 0x9e3779b97f4a7c15ULL;
-    case ValueType::kString:
-      return std::hash<int32_t>{}(s) * 0xbf58476d1ce4e5b9ULL;
-  }
-  return 0;
+uint64_t Value::StringHash() const {
+  return std::hash<int32_t>{}(s) * 0xbf58476d1ce4e5b9ULL;
 }
 
 std::string Value::ToString() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -97,7 +98,21 @@ struct Value {
     return 0;
   }
 
-  uint64_t Hash() const;
+  /// Numeric cells hash inline (join build/probe and GEE hash every key
+  /// cell); int-valued doubles hash like their int64 counterparts so
+  /// cross-type equi-joins behave. Strings hash their pool id out of line.
+  uint64_t Hash() const {
+    if (type == ValueType::kInt64) {
+      return std::hash<int64_t>{}(i) * 0x9e3779b97f4a7c15ULL;
+    }
+    if (type == ValueType::kDouble) {
+      if (d == static_cast<double>(static_cast<int64_t>(d))) {
+        return std::hash<int64_t>{}(static_cast<int64_t>(d)) * 0x9e3779b97f4a7c15ULL;
+      }
+      return std::hash<double>{}(d) * 0x9e3779b97f4a7c15ULL;
+    }
+    return StringHash();
+  }
 
   std::string ToString() const;
 
@@ -105,6 +120,7 @@ struct Value {
   /// Out of line so the numeric accessors above stay small enough to
   /// inline into every per-cell loop.
   [[noreturn]] static void NotNumeric();
+  uint64_t StringHash() const;
 };
 
 static_assert(sizeof(Value) == 16, "Value must stay a compact 16-byte cell");

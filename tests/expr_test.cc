@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <vector>
 
 #include "engine/expr.h"
 
@@ -173,6 +176,148 @@ TEST(Expr, ToStringRendersReadably) {
   const auto e = Expr::And(Expr::Cmp(0, CmpOp::kLe, Value::Int64(9)),
                            Expr::CmpColumns(0, CmpOp::kLt, 1));
   EXPECT_EQ(e->ToString(&schema), "(a <= 9 AND a < b)");
+}
+
+// ---------- column kernels ----------
+
+constexpr CmpOp kAllOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                             CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+
+/// Columns: 0 int64 (values past 2^53), 1 double (NaN, +-inf, -0),
+/// 2 all-string, 3 mixed int64/string, 4 int64.
+Table MakeKernelTable() {
+  const int64_t p53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<int64_t> ints = {0, 1, -1, 42, p53, p53 + 1, p53 + 2,
+                                     -(p53 + 1), std::numeric_limits<int64_t>::max(),
+                                     std::numeric_limits<int64_t>::min(), 7};
+  const std::vector<double> dbls = {nan, inf, -inf, 0.0, -0.0, 1.5, 42.0,
+                                    static_cast<double>(p53), -7.25,
+                                    std::numeric_limits<double>::max(),
+                                    std::numeric_limits<double>::denorm_min()};
+  const std::vector<std::string> strs = {"BUILDING", "AUTOMOBILE", "MACHINERY"};
+  Table t("kernels", Schema({{"i", ValueType::kInt64},
+                             {"d", ValueType::kDouble},
+                             {"s", ValueType::kString},
+                             {"m", ValueType::kInt64},
+                             {"j", ValueType::kInt64}}));
+  for (size_t r = 0; r < 53; ++r) {
+    t.AppendRow({Value::Int64(ints[r % ints.size()]),
+                 Value::Double(dbls[(r * 5) % dbls.size()]),
+                 Value::String(strs[r % strs.size()]),
+                 r % 4 == 3 ? Value::String(strs[r % strs.size()])
+                            : Value::Int64(ints[(r * 3) % ints.size()]),
+                 Value::Int64(ints[(r * 7) % ints.size()])});
+  }
+  return t;
+}
+
+/// EvalPredicateColumns over the whole table and in 7-row chunks must equal
+/// EvalPredicate row by row, and EvalPredicateBatch over the same cells.
+void ExpectColumnParity(const Table& t, const ExprPtr& e) {
+  const int64_t rows = t.num_rows();
+  const int stride = t.schema().num_columns();
+  std::vector<uint8_t> whole(static_cast<size_t>(rows));
+  std::vector<uint8_t> chunked(static_cast<size_t>(rows), 0xff);
+  std::vector<uint8_t> cells(static_cast<size_t>(rows));
+  EvalPredicateColumns(*e, t, 0, rows, whole.data());
+  for (int64_t base = 0; base < rows; base += 7) {
+    EvalPredicateColumns(*e, t, base, std::min<int64_t>(7, rows - base),
+                         chunked.data() + base);
+  }
+  EvalPredicateBatch(*e, t.raw_values().data(), stride, rows, cells.data());
+  for (int64_t r = 0; r < rows; ++r) {
+    const uint8_t want = EvalPredicate(*e, t.row(r)) ? 1 : 0;
+    const size_t i = static_cast<size_t>(r);
+    ASSERT_EQ(whole[i], want) << e->ToString() << " row " << r;
+    ASSERT_EQ(chunked[i], want) << e->ToString() << " row " << r;
+    ASSERT_EQ(cells[i], want) << e->ToString() << " row " << r;
+  }
+}
+
+/// Comparisons that cannot abort on MakeKernelTable: each kernel case plus
+/// the fallbacks (numeric constant on the string column, string constant
+/// on a numeric column, the mixed column).
+std::vector<ExprPtr> SafeLeaves() {
+  const int64_t p53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> constants = {
+      Value::Int64(p53 + 1), Value::Int64(p53), Value::Int64(42),
+      Value::Int64(-1), Value::Int64(std::numeric_limits<int64_t>::max()),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+      Value::Double(inf), Value::Double(-inf), Value::Double(0.0),
+      Value::Double(-0.0), Value::Double(static_cast<double>(p53)),
+      Value::Double(1.5)};
+  std::vector<ExprPtr> out;
+  for (CmpOp op : kAllOps) {
+    for (const Value& c : constants) {
+      out.push_back(Expr::Cmp(0, op, c));
+      out.push_back(Expr::Cmp(1, op, c));
+    }
+    out.push_back(Expr::CmpColumns(0, op, 1));
+    out.push_back(Expr::CmpColumns(1, op, 4));
+    out.push_back(Expr::CmpColumns(4, op, 0));
+  }
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe}) {
+    out.push_back(Expr::Cmp(2, op, Value::String("BUILDING")));
+    out.push_back(Expr::Cmp(2, op, Value::String("NOT-IN-TABLE")));
+    out.push_back(Expr::Cmp(2, op, Value::Int64(0)));
+    out.push_back(Expr::Cmp(0, op, Value::String("BUILDING")));
+    out.push_back(Expr::Cmp(1, op, Value::String("BUILDING")));
+    out.push_back(Expr::Cmp(3, op, Value::Int64(42)));
+    out.push_back(Expr::Cmp(3, op, Value::String("BUILDING")));
+  }
+  return out;
+}
+
+TEST(ExprColumns, TableColumnKinds) {
+  const Table t = MakeKernelTable();
+  EXPECT_EQ(t.column_kind(0), ColumnKind::kNumeric);
+  EXPECT_EQ(t.column_kind(1), ColumnKind::kNumeric);
+  EXPECT_EQ(t.column_kind(2), ColumnKind::kString);
+  EXPECT_EQ(t.column_kind(3), ColumnKind::kMixed);
+  EXPECT_EQ(t.column_kind(4), ColumnKind::kNumeric);
+}
+
+TEST(ExprColumns, EveryComparisonMatchesEvalPredicate) {
+  const Table t = MakeKernelTable();
+  for (const ExprPtr& e : SafeLeaves()) ExpectColumnParity(t, e);
+}
+
+TEST(ExprColumns, NestedConnectivesMatchEvalPredicate) {
+  // Pairs of leaves under every connective shape, so each comparison runs
+  // in every mask mode: fill (left of AND/OR, under NOT), narrow (right of
+  // AND, inside AND under AND) and widen (right of OR), plus the scratch
+  // masks of AND under OR and OR under AND.
+  const Table t = MakeKernelTable();
+  const std::vector<ExprPtr> leaves = SafeLeaves();
+  const size_t n = leaves.size();
+  for (size_t k = 0; k < n; ++k) {
+    const ExprPtr& a = leaves[k];
+    const ExprPtr& b = leaves[(k * 7 + 3) % n];
+    const ExprPtr& c = leaves[(k * 13 + 5) % n];
+    ExpectColumnParity(t, Expr::And(a, b));
+    ExpectColumnParity(t, Expr::Or(a, b));
+    ExpectColumnParity(t, Expr::Not(a));
+    ExpectColumnParity(t, Expr::Or(c, Expr::And(a, b)));
+    ExpectColumnParity(t, Expr::And(c, Expr::Or(a, b)));
+    ExpectColumnParity(t, Expr::And(c, Expr::Not(Expr::Or(a, b))));
+    ExpectColumnParity(t, Expr::Or(c, Expr::Not(Expr::And(a, b))));
+    ExpectColumnParity(t, Expr::And(Expr::And(a, b), Expr::Or(c, a)));
+    ExpectColumnParity(t, Expr::Or(Expr::Or(a, b), Expr::And(c, b)));
+  }
+}
+
+TEST(ExprColumnsDeathTest, RangeOnStringColumnStillAborts) {
+  const Table t = MakeKernelTable();
+  std::vector<uint8_t> mask(static_cast<size_t>(t.num_rows()));
+  EXPECT_DEATH(EvalPredicateColumns(*Expr::Cmp(2, CmpOp::kLt, Value::String("M")),
+                                    t, 0, t.num_rows(), mask.data()),
+               "not numeric");
+  EXPECT_DEATH(EvalPredicateColumns(*Expr::Cmp(0, CmpOp::kGe, Value::String("M")),
+                                    t, 0, t.num_rows(), mask.data()),
+               "not numeric");
 }
 
 }  // namespace

@@ -128,6 +128,59 @@ TEST(Table, RowAccess) {
   EXPECT_DOUBLE_EQ(r[1].AsDouble(), 3.0);
 }
 
+/// Every column array has num_rows() entries, each the cell's AsDouble().
+void ExpectNumericColumnsMatchCells(const Table& t) {
+  for (int c = 0; c < t.schema().num_columns(); ++c) {
+    ASSERT_EQ(t.column_kind(c), ColumnKind::kNumeric) << "column " << c;
+    const std::vector<double>& col = t.column(c);
+    ASSERT_EQ(static_cast<int64_t>(col.size()), t.num_rows()) << "column " << c;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      EXPECT_EQ(col[static_cast<size_t>(r)], t.at(r, c).AsDouble());
+    }
+  }
+}
+
+TEST(Table, ColumnArraysSurviveCopyAndMoveAssign) {
+  const Table src = MakeNumbersTable(50);
+  Table copy;
+  copy = src;
+  ExpectNumericColumnsMatchCells(copy);
+  ExpectNumericColumnsMatchCells(src);
+  Table moved;
+  moved = std::move(copy);
+  ExpectNumericColumnsMatchCells(moved);
+  EXPECT_EQ(moved.num_rows(), 50);
+  EXPECT_EQ(moved.column(1)[0], 50.0);
+}
+
+TEST(Table, StringCellTurnsNumericColumnMixed) {
+  Table t("kinds", Schema({{"a", ValueType::kInt64},
+                           {"s", ValueType::kString}}));
+  EXPECT_EQ(t.column_kind(0), ColumnKind::kNumeric);  // no rows yet
+  t.AppendRow({Value::Int64(3), Value::String("x")});
+  EXPECT_EQ(t.column_kind(0), ColumnKind::kNumeric);
+  EXPECT_EQ(t.column_kind(1), ColumnKind::kString);
+  EXPECT_EQ(t.column(1)[0], static_cast<double>(Value::String("x").s));
+  t.AppendRow({Value::String("y"), Value::String("z")});
+  EXPECT_EQ(t.column_kind(0), ColumnKind::kMixed);
+  EXPECT_EQ(t.column_kind(1), ColumnKind::kString);
+}
+
+TEST(Table, ReserveAndAppendKeepColumnsInStepWithRows) {
+  Table t("step", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}}));
+  t.Reserve(100);
+  EXPECT_EQ(t.num_rows(), 0);
+  EXPECT_TRUE(t.column(0).empty());
+  EXPECT_TRUE(t.column(1).empty());
+  const std::vector<Value> row = {Value::Int64(int64_t{1} << 60), Value::Double(-2.5)};
+  t.AppendRow(row);
+  t.AppendRow(row.data());
+  t.Reserve(1);
+  ASSERT_EQ(t.num_rows(), 2);
+  ExpectNumericColumnsMatchCells(t);
+  EXPECT_EQ(t.column(0)[1], static_cast<double>(int64_t{1} << 60));
+}
+
 // ---------- Histogram ----------
 
 TEST(Histogram, EmptyBehaviour) {
